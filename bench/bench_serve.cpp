@@ -1,0 +1,845 @@
+// The serving experiments -- N1, N2, R1, R2, O1, R3 -- as one vehicle x
+// condition matrix over one server (src/workload/serve).
+//
+// Usage: bench_serve [--quick] [N1|N2|R1|R2|O1|R3]   (no id: all six)
+//
+// Every row is one cell: run_cell(vehicle, condition, shape) builds a
+// fresh kernel, net, ring device and disk (and, for supervised cells,
+// the supervisor), applies one condition, serves one run, and collects
+// the report. Conditions:
+//   clean       the kernel as shipped
+//   storm       seeded TRANSIENT kfail injection (kmalloc, disk, net) with
+//               a disk behind the document tree: every injection charges
+//               the real recovery cost, no request fails (R1)
+//   supervised  seeded HARD faults at the vehicle's own in-kernel site
+//               (cosy_fuel, ring.sqe_corrupt) under an aggressive
+//               breaker: quarantine, fallback, probes, re-admission (R2, N2)
+//   spans       kspan armed: every request grows its span tree (O1)
+//   overload    kdl armed: deadlines on the wire, admission at ingress,
+//               against open arrivals the shape sets to 2x capacity (R3)
+//
+// Each experiment is a list of cells plus its acceptance checks; the
+// process exits nonzero when a check fails. JSON records (USK_BENCH_JSON)
+// keep each experiment's established bench name -- bench_webserver,
+// bench_ring, bench_fault_storm, bench_supervisor, bench_obs,
+// bench_overload -- and config keys, which scripts/run_tier1.sh gates.
+//
+// EXPERIMENTS.md describes each experiment (N1, N2, R1, R2, O1, R3) and
+// its acceptance checks.
+//
+// The four disarmed-site costs (kfail point, sup gateway check, disabled
+// span site, disabled DeadlineScope) are one table: R1/R2 divide by the
+// 1668 ns null syscall bench_trace_overhead measured, O1/R3 by a null
+// syscall measured here.
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <thread>
+
+#include "bench/common.hpp"
+#include "blockdev/buffer_cache.hpp"
+#include "blockdev/disk.hpp"
+#include "dl/dl.hpp"
+#include "fault/kfail.hpp"
+#include "net/net.hpp"
+#include "ring/ring.hpp"
+#include "sup/supervisor.hpp"
+#include "trace/span.hpp"
+#include "uk/userlib.hpp"
+#include "workload/serve.hpp"
+
+namespace {
+
+using namespace usk;
+using workload::ServeConfig;
+using workload::ServeReport;
+using workload::Vehicle;
+
+enum class Cond { kClean, kStorm, kSupervised, kSpans, kOverload };
+
+struct Condition {
+  Cond kind = Cond::kClean;
+  double p = 0.0;  ///< injection rate (storm, supervised)
+};
+
+struct Cell {
+  ServeReport rep;
+  ring::RingStats ring;
+  sup::ExtStats ext;  ///< summed over every registered extension
+  std::uint64_t transients = 0;
+  std::string ledger;  ///< the breaker's event stream (determinism)
+};
+
+ServeConfig shape(std::size_t workers, std::size_t conns, std::size_t rpc,
+                  std::size_t file_bytes) {
+  ServeConfig cfg;
+  cfg.workers = workers;
+  cfg.conns_per_worker = conns;
+  cfg.requests_per_conn = rpc;
+  cfg.file_bytes = file_bytes;
+  return cfg;
+}
+
+/// Aggressive breaker so a 0 -> 5% sweep exercises every state: one
+/// violation starts probation, a second quarantines, two fallback ticks
+/// then a probe, two clean runs re-admit.
+constexpr const char* kAggressivePolicy =
+    "threshold=1,window=16,probation=2,backoff=2,mult=2,cap=8";
+
+/// The kfail spec a condition arms. Seeds fix the injection schedule, so
+/// every row reproduces.
+std::string fail_spec(Vehicle v, Condition c) {
+  char spec[256];
+  if (c.p <= 0.0) return "off";
+  if (c.kind == Cond::kStorm) {
+    std::snprintf(spec, sizeof spec,
+                  "seed=11,kmalloc:p=%g:transient,disk.read:p=%g:transient,"
+                  "disk.write:p=%g:transient,disk.latency:p=%g:transient,"
+                  "net.send:p=%g:transient,net.recv:p=%g:transient",
+                  c.p, c.p, c.p, c.p / 2, c.p / 2, c.p / 2);
+  } else if (c.kind == Cond::kSupervised) {
+    // HARD faults (no :transient) at the vehicle's own in-kernel site:
+    // the invocation really aborts and the supervisor must route around.
+    std::snprintf(spec, sizeof spec,
+                  v == Vehicle::kRing ? "seed=23,ring.sqe_corrupt:p=%g"
+                                      : "seed=17,cosy_fuel:p=%g",
+                  c.p);
+  } else {
+    return "off";
+  }
+  return spec;
+}
+
+/// Serialize everything the breaker decided: if two same-seed runs agree
+/// on this string, routing / quarantine / re-admission replayed exactly.
+std::string event_ledger(const sup::Supervisor& s) {
+  std::string out;
+  char line[128];
+  for (const sup::SupEvent& e : s.events()) {
+    std::snprintf(line, sizeof line, "%" PRIu64 ":%d:%s:%s:%d@%" PRIu64 ";",
+                  e.seq, e.ext, sup::event_name(e.kind),
+                  sup::violation_name(e.vkind), static_cast<int>(e.err),
+                  e.invocation);
+    out += line;
+  }
+  return out;
+}
+
+Cell run_cell(Vehicle v, Condition c, ServeConfig cfg) {
+  fs::MemFs memfs;
+  uk::Kernel kernel(memfs);
+  memfs.set_cost_hook(kernel.charge_hook());
+  // Storm cells put a simulated disk behind the document tree so the disk
+  // fault sites sit on the serving path, like a server reading cold
+  // files. Disk charges land on the serving task: wall-clock is
+  // host-noisy, but units/req is deterministic.
+  blockdev::Disk disk(1 << 20);
+  disk.set_charge_hook([charge = kernel.charge_hook()](std::uint64_t u) {
+    charge(u / 8);  // disk units are cheaper than CPU units
+  });
+  blockdev::BufferCache cache(disk, 256);
+  if (c.kind == Cond::kStorm) memfs.set_io_model(&cache);
+  net::Net net(kernel);
+  ring::RingDev rdev(kernel, net);
+  // A live Supervisor arms the syscall gateway hook, so only
+  // supervised cells build one.
+  std::optional<sup::Supervisor> sup;
+  if (c.kind == Cond::kSupervised) {
+    sup.emplace(kernel);
+    sup::BreakerPolicy pol;
+    sup::Supervisor::policy_from_spec(kAggressivePolicy, &pol);
+    sup->set_policy(pol);
+  }
+
+  cfg.vehicle = v;
+  cfg.ring = &rdev;
+  cfg.supervisor = sup ? &*sup : nullptr;
+  uk::Proc setup(kernel, "setup");
+  workload::populate_www(setup, cfg);
+
+  const std::string spec = fail_spec(v, c);
+  if (!fault::kfail().apply_spec(spec).ok()) {
+    std::fprintf(stderr, "bad spec: %s\n", spec.c_str());
+    std::exit(2);
+  }
+  fault::kfail().reset_stats();
+  c.kind == Cond::kSpans ? trace::kspan().enable() : trace::kspan().disable();
+  trace::kspan().reset();
+  dl::Kdl::instance().set_enabled(c.kind == Cond::kOverload);
+  dl::Kdl::instance().reset();
+
+  Cell out;
+  out.rep = workload::run_serve(kernel, net, cfg);
+
+  dl::Kdl::instance().set_enabled(false);
+  trace::kspan().disable();
+  for (std::size_t i = 0; i < fault::kNumSites; ++i) {
+    out.transients += fault::kfail().stats(static_cast<fault::Site>(i)).transients;
+  }
+  (void)fault::kfail().apply_spec("off");
+  out.ring = rdev.total_stats();
+  if (sup) {
+    for (std::size_t id = 0; id < sup->extension_count(); ++id) {
+      const sup::ExtStats st = sup->stats(static_cast<sup::ExtId>(id));
+      out.ext.fallback_runs += st.fallback_runs;
+      out.ext.probes += st.probes;
+      out.ext.violations += st.violations;
+      out.ext.quarantines += st.quarantines;
+      out.ext.readmissions += st.readmissions;
+    }
+    out.ledger = event_ledger(*sup);
+  }
+  return out;
+}
+
+/// Best-of-`reps` by req/s: seeded conditions absorb the same faults on
+/// every repeat, so repeats only strip host-scheduler noise. Clears
+/// `*same_ledger` when a repeat's breaker decisions differ.
+Cell best_cell(int reps, Vehicle v, Condition c, const ServeConfig& cfg,
+               bool* same_ledger = nullptr) {
+  Cell best = run_cell(v, c, cfg);
+  for (int r = 1; r < reps; ++r) {
+    Cell again = run_cell(v, c, cfg);
+    if (same_ledger != nullptr && again.ledger != best.ledger) {
+      *same_ledger = false;
+    }
+    if (again.rep.req_per_sec > best.rep.req_per_sec) best = std::move(again);
+  }
+  return best;
+}
+
+/// Modelled req/s on `workers` virtual CPUs, the bench_smp_scaling
+/// convention: workers are symmetric and independent (own port, own
+/// sockets), so on a saturated host wall/workers is the per-virtual-CPU
+/// share of the measured work.
+double smp_rps(std::size_t workers, const ServeReport& r) {
+  return r.req_per_sec * static_cast<double>(workers);
+}
+
+/// The crossing-economics table: one row per clean or spans cell.
+void print_header() {
+  std::printf("\n%-22s %5s %6s %9s %10s %9s %12s\n", "config", "vcpus",
+              "reqs", "req/s", "smp req/s", "cross/req", "copied B/req");
+}
+void print_row(const std::string& name, std::size_t workers,
+               const ServeReport& r) {
+  std::printf("%-22s %5zu %6" PRIu64 " %9.0f %10.0f %9.2f %12.0f\n",
+              name.c_str(), workers, r.requests, r.req_per_sec,
+              smp_rps(workers, r), r.crossings_per_req(),
+              r.user_bytes_per_req());
+}
+
+/// The fault table: one row per storm or supervised cell.
+void print_fault_header() {
+  std::printf("\n%-14s %6s %9s %8s %8s %11s %5s %8s %6s %5s %5s\n", "config",
+              "reqs", "req/s", "vs clean", "injected", "k-units/req", "viol",
+              "fallback", "probes", "quar", "readm");
+}
+void print_fault_row(const char* name, const Cell& c, double clean_rps) {
+  const ServeReport& r = c.rep;
+  const double reqs = static_cast<double>(std::max<std::uint64_t>(1, r.requests));
+  std::printf("%-14s %6" PRIu64 " %9.0f %7.1f%% %8" PRIu64 " %11.0f %5" PRIu64
+              " %8" PRIu64 " %6" PRIu64 " %5" PRIu64 " %5" PRIu64 "\n",
+              name, r.requests, r.req_per_sec,
+              clean_rps > 0 ? r.req_per_sec / clean_rps * 100.0 : 100.0,
+              c.transients, static_cast<double>(r.server_kernel_units) / reqs,
+              c.ext.violations, c.ext.fallback_runs, c.ext.probes,
+              c.ext.quarantines, c.ext.readmissions);
+}
+
+struct Checks {
+  int failures = 0;
+  void operator()(bool ok, const std::string& what) {
+    std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what.c_str());
+    if (!ok) ++failures;
+  }
+};
+
+// --- disarmed sites ----------------------------------------------------------
+
+/// Calls/s of `call(proc, fd)` on a fresh kernel, `fd` an open scratch
+/// file: best of 3 x 200000 calls.
+template <class Fn>
+double calls_per_sec(Fn&& call) {
+  fs::MemFs memfs;
+  uk::Kernel kernel(memfs);
+  memfs.set_cost_hook(kernel.charge_hook());
+  uk::Proc proc(kernel, "caller");
+  const int fd = proc.open("/w", fs::kOWrOnly | fs::kOCreat);
+  constexpr int kCalls = 200000;
+  return kCalls / bench::time_best(3, [&] {
+           for (int i = 0; i < kCalls; ++i) call(proc, fd);
+         });
+}
+
+constexpr double kNullSyscallNs = 1668.0;  // measured by bench_trace_overhead
+volatile std::uint64_t g_sink;  // keeps the site loops from folding away
+
+struct DisarmedSite {
+  const char* exp;
+  const char* what;
+  int loops;
+  void (*loop)(int n);
+  /// R1/R2: nullptr, divide by kNullSyscallNs and record checks/s under
+  /// `key`. O1/R3: record the measured null syscall under `null_key` and
+  /// the site cost as a percentage under `key`.
+  const char* null_key;
+  const char* key;
+  double budget;  ///< fraction of a null syscall
+};
+
+const DisarmedSite kSites[] = {
+    {"R1", "disarmed fault point", 50'000'000,
+     [](int n) {
+       std::uint64_t fails = 0;
+       for (int i = 0; i < n; ++i) {
+         auto f = USK_FAIL_POINT(fault::Site::kCopyIn);
+         fails += f.fail;
+       }
+       g_sink = fails;
+     },
+     nullptr, "disarmed-check", 0.005},
+    {"R2", "healthy-path gateway check", 50'000'000,
+     [](int n) {
+       std::uint64_t armed = 0;
+       for (int i = 0; i < n; ++i) armed += uk::sup_gateway_armed() ? 1 : 0;
+       g_sink = armed;
+     },
+     nullptr, "gateway-check", 0.005},
+    {"O1", "disabled SpanScope site", 2'000'000,
+     [](int n) {
+       for (int i = 0; i < n; ++i) {
+         trace::SpanScope s("bench.site", trace::SpanVehicle::kNone);
+       }
+     },
+     "null_syscall_spans_off", "span-disabled-overhead-pct", 0.01},
+    {"R3", "disabled DeadlineScope site", 2'000'000,
+     [](int n) {
+       for (int i = 0; i < n; ++i) {
+         dl::DeadlineScope s(std::chrono::milliseconds(5));
+       }
+     },
+     "null_syscall_dl_off", "dl-disarmed-overhead-pct", 0.01},
+};
+
+/// Measure `exp`'s disarmed site, print it, record it, check its budget.
+void disarmed_site(const char* exp, bench::JsonWriter& json, Checks& check) {
+  const DisarmedSite& s =
+      *std::find_if(std::begin(kSites), std::end(kSites),
+                    [&](const DisarmedSite& d) { return d.exp == std::string(exp); });
+  (void)fault::kfail().apply_spec("off");
+  trace::kspan().disable();
+  dl::Kdl::instance().set_enabled(false);
+  double null_ns = kNullSyscallNs;
+  if (s.null_key != nullptr) {
+    const double rate = calls_per_sec([](uk::Proc& p, int) { (void)p.getpid(); });
+    null_ns = 1e9 / rate;
+    json.record(s.null_key, 1, rate, 200000 / rate);
+  }
+  const double secs = bench::time_best(3, [&] { s.loop(s.loops); });
+  const double ns = secs * 1e9 / s.loops;
+  const double frac = ns / null_ns;
+  std::printf("\n%s: %.3f ns (%.3f%% of a %.0f ns null syscall%s; "
+              "budget %.1f%%)\n",
+              s.what, ns, frac * 100.0, null_ns,
+              s.null_key != nullptr ? ", measured" : "", s.budget * 100.0);
+  if (s.null_key != nullptr) {
+    json.record(s.key, 1, frac * 100.0, secs);
+  } else {
+    json.record(s.key, 1, 1e9 / ns, 0.0);
+  }
+  check(frac <= s.budget, std::string(s.what) + " within budget");
+}
+
+// --- N1 ----------------------------------------------------------------------
+
+int n1(bool quick) {
+  bench::print_title("N1", "web server: plain vs consolidated "
+                           "(accept_recv+sendfile) vs Cosy compounds");
+  bench::print_note("16 KiB documents, 16 conns/worker; keep-alive = 8 "
+                    "requests/conn, one-shot = 1. Crossings and copied "
+                    "bytes are server-side only.");
+  bench::JsonWriter json("bench_webserver");
+  const Vehicle vehicles[] = {Vehicle::kPlain, Vehicle::kConsolidated,
+                              Vehicle::kCosy};
+  print_header();
+
+  // Keep-alive across the vCPU sweep. Wall req/s on a saturated host is
+  // noisy run to run, so the req/s summary averages the whole sweep.
+  ServeReport at1_plain, at4[3];
+  double mean_rps[3] = {0, 0, 0};
+  for (int m = 0; m < 3; ++m) {
+    const std::string name =
+        std::string(workload::vehicle_name(vehicles[m])) + "-keepalive";
+    int n = 0;
+    for (std::size_t workers : {1, 2, 4, 8}) {
+      if (quick && workers > 2) continue;
+      const ServeReport r =
+          run_cell(vehicles[m], {}, shape(workers, 16, 8, 16384)).rep;
+      mean_rps[m] += r.req_per_sec;
+      ++n;
+      print_row(name, workers, r);
+      json.record(name, static_cast<int>(workers), smp_rps(workers, r),
+                  r.elapsed_s);
+      if (workers == 4) at4[m] = r;
+      if (m == 0 && workers == 1) at1_plain = r;
+    }
+    mean_rps[m] /= n;
+  }
+
+  // One-shot mix at one vCPU count (connection-prologue-dominated).
+  const std::size_t oneshot = quick ? 2 : 4;
+  for (Vehicle v : vehicles) {
+    const std::string name = std::string(workload::vehicle_name(v)) + "-oneshot";
+    const ServeReport r = run_cell(v, {}, shape(oneshot, 16, 1, 16384)).rep;
+    print_row(name, oneshot, r);
+    json.record(name, static_cast<int>(oneshot), smp_rps(oneshot, r),
+                r.elapsed_s);
+  }
+
+  const ServeReport& plain = at4[0];
+  const ServeReport& cons = at4[1];
+  if (!quick && plain.requests > 0 && cons.requests > 0) {
+    std::printf("\n  keep-alive @4 vCPUs, consolidated vs plain:\n");
+    std::printf("    crossings/req  %.2f -> %.2f  (%.2fx, target >= 3x)\n",
+                plain.crossings_per_req(), cons.crossings_per_req(),
+                plain.crossings_per_req() / cons.crossings_per_req());
+    std::printf("    copied B/req   %.0f -> %.0f  (%.2fx, target >= 2x)\n",
+                plain.user_bytes_per_req(), cons.user_bytes_per_req(),
+                plain.user_bytes_per_req() / cons.user_bytes_per_req());
+    std::printf("    req/s (sweep mean) %.0f -> %.0f  (%+.1f%%)\n",
+                mean_rps[0], mean_rps[1],
+                (mean_rps[1] / mean_rps[0] - 1.0) * 100.0);
+    std::printf("    cosy: %.2f crossings/req, %.0f copied B/req, "
+                "%.0f req/s (sweep mean)\n",
+                at4[2].crossings_per_req(), at4[2].user_bytes_per_req(),
+                mean_rps[2]);
+    std::printf("    plain scaling 1 -> 4 vCPUs: %.2fx smp req/s\n",
+                smp_rps(4, plain) / smp_rps(1, at1_plain));
+  }
+  return 0;
+}
+
+// --- N2 ----------------------------------------------------------------------
+
+int n2(bool quick) {
+  bench::print_title("N2", "web server over batched syscall rings: one "
+                           "ring_enter drains a window of request chains");
+  bench::print_note("16 KiB documents; ring chains are "
+                    "recv->open->read->send->close linked SQEs, batch = "
+                    "chains per enter. Crossings/copies are server-side "
+                    "only.");
+  bench::JsonWriter json("bench_ring");
+  print_header();
+
+  // 1. four vehicles head-to-head. The crossings-* records carry
+  // crossings/req in ops_per_sec for the threshold checks.
+  const std::size_t cmp_workers = quick ? 2 : 4;
+  const Vehicle vehicles[] = {Vehicle::kPlain, Vehicle::kConsolidated,
+                              Vehicle::kCosy, Vehicle::kRing};
+  double cross[4] = {0, 0, 0, 0};
+  for (int m = 0; m < 4; ++m) {
+    const ServeReport r =
+        run_cell(vehicles[m], {}, shape(cmp_workers, 16, 8, 16384)).rep;
+    std::string name = workload::vehicle_name(vehicles[m]);
+    if (vehicles[m] == Vehicle::kRing) name += "-b8";
+    cross[m] = r.crossings_per_req();
+    print_row(name, cmp_workers, r);
+    json.record(name, static_cast<int>(cmp_workers), smp_rps(cmp_workers, r),
+                r.elapsed_s);
+    json.record("crossings-" + name, static_cast<int>(cmp_workers), cross[m],
+                r.elapsed_s);
+  }
+
+  // 2. batch sweep at 32 req/conn: crossings/req falls roughly as 1/batch
+  // toward the two-enters-per-connection floor.
+  double sweep_first = 0, sweep_last = 0;
+  for (std::size_t b : {1, 4, 8, 32}) {
+    ServeConfig cfg = shape(1, quick ? 8 : 16, 32, 16384);
+    cfg.ring_batch = b;
+    const ServeReport r = run_cell(Vehicle::kRing, {}, cfg).rep;
+    const std::string name = "ring-sweep-b" + std::to_string(b);
+    print_row(name, 1, r);
+    (b == 1 ? sweep_first : sweep_last) = r.crossings_per_req();
+    json.record(name, 1, r.req_per_sec, r.elapsed_s);
+    json.record("crossings-" + name, 1, r.crossings_per_req(), r.elapsed_s);
+  }
+
+  // 3. MT scaling: per-task rings shard by construction.
+  for (std::size_t w : {1, 2, 4}) {
+    if (quick && w > 2) continue;
+    const ServeReport r = run_cell(Vehicle::kRing, {}, shape(w, 16, 8, 16384)).rep;
+    print_row("ring-scale", w, r);
+    json.record("ring-scale", static_cast<int>(w), smp_rps(w, r), r.elapsed_s);
+  }
+
+  // 4. SQE-corruption storm under the aggressive breaker: failed chains
+  // cancel + roll back, the worker rescues each failed slot classically,
+  // and once quarantined every enter decomposes kernel-side.
+  print_fault_header();
+  const ServeConfig storm = shape(1, quick ? 8 : 32, 8, 4096);
+  const std::uint64_t expect = storm.conns_per_worker * 8;
+  Cell clean, hit;
+  for (double p : {0.0, 0.05}) {
+    Cell c = run_cell(Vehicle::kRing, {Cond::kSupervised, p}, storm);
+    char name[32];
+    std::snprintf(name, sizeof name, "storm-p%.2f", p);
+    print_fault_row(name, c, clean.rep.req_per_sec);
+    json.record(name, 1, c.rep.req_per_sec, c.rep.elapsed_s);
+    (p > 0.0 ? hit : clean) = std::move(c);
+  }
+
+  Checks check;
+  const double plain = cross[0], cons = cross[1], ring = cross[3];
+  std::printf("\nacceptance:\n");
+  std::printf("  crossings/req: plain %.2f, consolidated %.2f, cosy %.2f, "
+              "ring-b8 %.2f\n",
+              plain, cons, cross[2], ring);
+  check(ring <= 0.5, "ring @ batch 8 <= 0.5 crossings/req");
+  check(ring <= cons, "ring @ batch 8 at or below consolidated crossings/req");
+  check(plain >= 4.0 * ring, "ring @ batch 8 >= 4x fewer crossings than plain");
+  check(sweep_first > sweep_last,
+        "batch sweep: crossings/req falls from batch 1 to batch 32");
+  check(hit.rep.requests == expect,
+        "p=0.05 SQE-corruption storm completed 100%");
+  check(hit.ext.quarantines >= 1, "storm reached quarantine");
+  check(hit.ring.enters_fallback >= 1,
+        "quarantined ring decomposed via fallback enters");
+  // The headline ratio, exported for threshold checks.
+  json.record("crossing-ratio-plain-over-ring", static_cast<int>(cmp_workers),
+              ring > 0 ? plain / ring : 0.0, 0.0);
+  return check.failures;
+}
+
+// --- R1 ----------------------------------------------------------------------
+
+/// Small-write throughput with the given spec armed; the fault points on
+/// this path are copy_in (per write) and kmalloc.
+double write_ops_per_sec(const char* spec) {
+  if (!fault::kfail().apply_spec(spec).ok()) std::exit(2);
+  const double rate = calls_per_sec([](uk::Proc& p, int fd) {
+    char buf[64] = {};
+    (void)p.write(fd, buf, sizeof buf);
+    (void)p.lseek(fd, 0, fs::kSeekSet);
+  });
+  (void)fault::kfail().apply_spec("off");
+  return rate;
+}
+
+int r1(bool quick) {
+  bench::print_title("R1", "web server under a seeded fault storm "
+                           "(kfail transient injection, 0 -> 5%)");
+  bench::print_note("consolidated mode, 16 KiB docs, disk-backed memfs; "
+                    "transient = recovery cost charged, request still "
+                    "served. seed=11: rows reproduce exactly.");
+  bench::JsonWriter json("bench_fault_storm");
+  const std::size_t workers = quick ? 2 : 4;
+  const ServeConfig cfg =
+      shape(workers, quick ? 4 : 32, quick ? 8 : 16, 16384);
+
+  print_fault_header();
+  double clean_rps = 0.0;
+  for (double p : {0.0, 0.005, 0.01, 0.02, 0.05}) {
+    const Cell c = best_cell(quick ? 1 : 3, Vehicle::kConsolidated,
+                             {Cond::kStorm, p}, cfg);
+    if (p == 0.0) clean_rps = c.rep.req_per_sec;
+    char name[32];
+    std::snprintf(name, sizeof name, "storm-p%.3f", p);
+    print_fault_row(name, c, clean_rps);
+    json.record(name, static_cast<int>(workers), c.rep.req_per_sec,
+                c.rep.elapsed_s);
+  }
+
+  Checks check;
+  disarmed_site("R1", json, check);
+
+  std::printf("\nfault-point cost on the write path (64 B writes):\n");
+  std::printf("%-18s %14s\n", "config", "writes/s");
+  const double disarmed = write_ops_per_sec("off");
+  const double armed_p0 =
+      write_ops_per_sec("copy_in:p=0,kmalloc:p=0,disk.write:p=0");
+  std::printf("%-18s %14.0f\n", "disarmed", disarmed);
+  std::printf("%-18s %14.0f\n", "armed-p0", armed_p0);
+  std::printf("  armed-p0 overhead vs disarmed: %.2f%% (disarmed cost is "
+              "one relaxed load/site)\n",
+              disarmed > 0 ? (disarmed - armed_p0) / disarmed * 100.0 : 0.0);
+  json.record("write-disarmed", 1, disarmed, 0.0);
+  json.record("write-armed-p0", 1, armed_p0, 0.0);
+  return check.failures;
+}
+
+// --- R2 ----------------------------------------------------------------------
+
+int r2(bool quick) {
+  bench::print_title("R2", "supervised web server under a hard-fault storm "
+                           "(quarantine -> fallback -> re-admission)");
+  bench::print_note("cosy mode, 1 worker, hard EDQUOT at the compound fuel "
+                    "check; seed=17: the breaker's event ledger reproduces "
+                    "byte-for-byte.");
+  bench::JsonWriter json("bench_supervisor");
+  const int reps = quick ? 1 : 3;
+  const ServeConfig cfg = shape(1, quick ? 16 : 64, quick ? 4 : 8, 4096);
+  const std::uint64_t expect = cfg.conns_per_worker * cfg.requests_per_conn;
+
+  print_fault_header();
+  double clean_rps = 0.0;
+  bool all_complete = true;
+  bool deterministic = true;
+  Cell at5;
+  for (double p : {0.0, 0.01, 0.02, 0.05}) {
+    Cell c = best_cell(reps, Vehicle::kCosy, {Cond::kSupervised, p}, cfg,
+                       &deterministic);
+    if (p == 0.0) clean_rps = c.rep.req_per_sec;
+    if (c.rep.requests != expect) all_complete = false;
+    char name[32];
+    std::snprintf(name, sizeof name, "storm-p%.3f", p);
+    print_fault_row(name, c, clean_rps);
+    json.record(name, 1, c.rep.req_per_sec, c.rep.elapsed_s);
+    if (p == 0.05) at5 = std::move(c);
+  }
+
+  // Pure-classic baseline: the same mix served by the plain vehicle, no
+  // supervisor, no faults -- what the degraded path costs when it is ALL
+  // you have.
+  const Cell classic = best_cell(reps, Vehicle::kPlain, {}, cfg);
+  print_fault_row("classic", classic, clean_rps);
+  json.record("classic", 1, classic.rep.req_per_sec, classic.rep.elapsed_s);
+
+  Checks check;
+  disarmed_site("R2", json, check);
+
+  // Context: the SUPERVISED healthy path (armed gateway, bound guard,
+  // per-syscall unit attribution) against the unsupervised null syscall.
+  {
+    const auto getpid = [](uk::Proc& p, int) { (void)p.getpid(); };
+    const double plain = calls_per_sec(getpid);
+    fs::MemFs memfs;
+    uk::Kernel kernel(memfs);
+    sup::Supervisor s(kernel);
+    sup::InvocationGuard g(s, s.register_extension("nuller", sup::Vehicle::kCosy),
+                           nullptr, sup::Route::kKernel);
+    const double guarded = calls_per_sec(getpid);
+    g.set_result(0);
+    std::printf("guarded getpid: %.0f/s vs %.0f/s plain (attribution cost "
+                "%.2f%%)\n",
+                guarded, plain,
+                plain > 0 ? (plain - guarded) / plain * 100.0 : 0.0);
+    json.record("getpid-plain", 1, plain, 0.0);
+    json.record("getpid-guarded", 1, guarded, 0.0);
+  }
+
+  std::printf("\nacceptance:\n");
+  check(all_complete, "every request completed at every injection rate");
+  check(deterministic, "same seed -> identical breaker event ledger");
+  check(at5.rep.req_per_sec >= classic.rep.req_per_sec,
+        "supervised @ p=0.05 >= pure-classic baseline");
+  if (!quick) {
+    check(at5.ext.quarantines >= 1, "p=0.05 storm reached quarantine");
+    check(at5.ext.readmissions >= 1, "quarantined worker was re-admitted");
+  }
+  return check.failures;
+}
+
+// --- O1 ----------------------------------------------------------------------
+
+int o1(bool quick) {
+  bench::print_title("O1", "kspan overhead: disabled span-site cost and "
+                           "span-enabled webserver throughput");
+  bench::JsonWriter json("bench_obs");
+  Checks check;
+  disarmed_site("O1", json, check);
+
+  // The N1 consolidated server A/B, best-of-3 each side: the workload is
+  // thread-scheduled, so single runs are noisy in exactly the range the
+  // 5% budget polices.
+  const ServeConfig cfg = shape(2, quick ? 8 : 16, 8, 16384);
+  ServeReport off, on;
+  for (int i = 0; i < 3; ++i) {
+    const ServeReport o = run_cell(Vehicle::kConsolidated, {}, cfg).rep;
+    if (o.req_per_sec > off.req_per_sec) off = o;
+    const ServeReport n =
+        run_cell(Vehicle::kConsolidated, {Cond::kSpans}, cfg).rep;
+    if (n.req_per_sec > on.req_per_sec) on = n;
+  }
+  const double slowdown =
+      on.req_per_sec > 0 ? off.req_per_sec / on.req_per_sec : 0.0;
+  print_header();
+  print_row("spans-off", cfg.workers, off);
+  print_row("spans-on", cfg.workers, on);
+  std::printf("span-enabled slowdown: %.3fx (budget 1.05)\n", slowdown);
+  json.record("webserver_spans_off", 2, off.req_per_sec, off.elapsed_s);
+  json.record("webserver_spans_on", 2, on.req_per_sec, on.elapsed_s);
+  json.record("span-enabled-webserver-slowdown-pct", 2, slowdown * 100.0,
+              on.elapsed_s);
+  check(slowdown <= 1.05, "span-enabled slowdown <= 1.05x");
+  check(off.requests == on.requests && on.requests > 0,
+        "both runs served every request");
+  return check.failures;
+}
+
+// --- R3 ----------------------------------------------------------------------
+
+/// The open-loop shape: `secs` of arrivals at `rps` (clamped).
+ServeConfig open_shape(double rps, std::uint64_t deadline_ms, double secs,
+                       std::size_t floor) {
+  // Heavy documents (512 KiB = 128 chunk round trips) push per-request
+  // service into the milliseconds, keeping the end-to-end deadline far
+  // above thread-wakeup jitter on a small host.
+  ServeConfig cfg = shape(2, 0, 1, 524288);
+  cfg.offered_rps = rps;
+  cfg.deadline_ms = deadline_ms;
+  // Synchronous executors needed so the open loop can hold the offered
+  // rate even though every attempt waits out the server queue (sheds are
+  // decided at recv time, after queueing): demand ~= offered_rps x
+  // per-arrival latency, and the latter rides the deadline rim under
+  // overload. 2x headroom for retries and scheduler jitter.
+  cfg.client_threads = std::clamp<std::size_t>(
+      static_cast<std::size_t>(rps * static_cast<double>(deadline_ms) / 500.0),
+      16, 64);
+  cfg.requests = std::clamp<std::size_t>(static_cast<std::size_t>(rps * secs),
+                                         floor, 20000);
+  return cfg;
+}
+
+int r3(bool quick) {
+  bench::print_title("R3", "kdl overload: goodput under 2x offered load, "
+                           "admitted p99, shed accuracy, cancel leak oracle");
+  bench::JsonWriter json("bench_overload");
+  Checks check;
+  disarmed_site("R3", json, check);
+  if (check.failures != 0) return check.failures;
+
+  // Calibration: one closed-loop one-shot client -- each latency is
+  // uncontended service time, req/s the single-stream service rate.
+  const ServeReport cal =
+      run_cell(Vehicle::kPlain, {}, shape(1, quick ? 200 : 400, 1, 524288)).rep;
+  // Pool capacity: workers only add throughput up to the core count.
+  const double par = std::min<double>(
+      2.0, std::max(1u, std::thread::hardware_concurrency()));
+  const double capacity = cal.req_per_sec * par;
+  std::printf("\n%-34s %12.0f req/s (x%.0f parallel -> %.0f)\n",
+              "calibrated single-stream rate", cal.req_per_sec, par, capacity);
+  std::printf("%-34s %12.3f ms\n", "uncontended p99",
+              static_cast<double>(cal.p99_ns) / 1e6);
+
+  // The end-to-end budget: a few uncontended p99s. Tight enough that an
+  // unprotected backlog blows through it, wide enough for a retry; the
+  // shed rim it induces also caps admitted sojourn well inside the 5x
+  // p99 ceiling.
+  const std::uint64_t deadline_ms =
+      std::max<std::uint64_t>(3, (3 * cal.p99_ns + 999'999) / 1'000'000);
+  const ServeConfig cfg =
+      open_shape(2.0 * capacity, deadline_ms, quick ? 1.0 : 2.0, 500);
+  const ServeReport rb = run_cell(Vehicle::kPlain, {}, cfg).rep;
+  const ServeReport rd = run_cell(Vehicle::kPlain, {Cond::kOverload}, cfg).rep;
+  std::printf("\n");
+  for (const auto& [name, r] : {std::pair{"baseline", &rb}, {"kdl", &rd}}) {
+    std::printf("%-10s offered %6" PRIu64 "  in-deadline %5" PRIu64
+                "  late %5" PRIu64 "  shed %5" PRIu64 "  drop %4" PRIu64
+                "  p99 %7.2fms  adm-p99 %7.2fms\n",
+                name, r->offered, r->ok_in_deadline, r->ok_late, r->shed,
+                r->dropped, static_cast<double>(r->p99_ns) / 1e6,
+                static_cast<double>(r->admitted_p99_ns) / 1e6);
+  }
+
+  // Goodput is measured against CAPACITY, not offered load: at 2x
+  // overload served/offered tops out at 50% by arithmetic even for an
+  // ideal system.
+  const auto cap_goodput = [&](const ServeReport& r) {
+    const double ideal = capacity * r.elapsed_s;
+    return ideal > 0.0 ? std::min(100.0, 100.0 *
+                                             static_cast<double>(
+                                                 r.ok_in_deadline) /
+                                             ideal)
+                       : 0.0;
+  };
+  const double goodput = cap_goodput(rd);
+  const double base_goodput = cap_goodput(rb);
+  const double ratio = cal.p99_ns > 0
+                           ? static_cast<double>(rd.admitted_p99_ns) /
+                                 static_cast<double>(cal.p99_ns)
+                           : 0.0;
+  const double accuracy =
+      rd.requests > 0 ? 100.0 * static_cast<double>(rd.ok_in_deadline) /
+                            static_cast<double>(rd.requests)
+                      : 0.0;
+  const int degraded = base_goodput + 15.0 <= goodput ? 1 : 0;
+  std::printf("\nkdl goodput %.1f%% of capacity (baseline %.1f%%), admitted "
+              "p99 %.2fx uncontended, shed accuracy %.1f%%\n",
+              goodput, base_goodput, ratio, accuracy);
+  const int w = static_cast<int>(cfg.workers);
+  json.record("overload-goodput-pct", w, goodput, rd.elapsed_s);
+  json.record("overload-admitted-p99-ratio-x100", w, ratio * 100.0,
+              rd.elapsed_s);
+  json.record("overload-shed-accuracy-pct", w, accuracy, rd.elapsed_s);
+  json.record("overload-baseline-degraded", w, degraded, rb.elapsed_s);
+  json.record("overload-baseline-goodput-pct", w, base_goodput, rb.elapsed_s);
+  json.record("overload-kdl-throughput-rps", w, rd.req_per_sec, rd.elapsed_s);
+
+  // Cancellation storm + leak oracle: at ~1x capacity a canceller fires
+  // every 100us, so thousands of cancels land at arbitrary points
+  // (parked in epoll_wait, mid-serve, at the gateway). Every unwind must
+  // release its fds and sockets.
+  ServeConfig storm = open_shape(capacity, deadline_ms, quick ? 0.6 : 1.2, 400);
+  storm.cancel_period_us = 100;
+  const ServeReport rc = run_cell(Vehicle::kPlain, {Cond::kOverload}, storm).rep;
+  const std::uint64_t leaks = rc.leaked_fds + rc.leaked_sockets;
+  std::printf("cancellations issued %" PRIu64 ", leaks %" PRIu64
+              " (fds %" PRIu64 " sockets %" PRIu64 " kmalloc %+" PRId64 "B)\n",
+              rc.cancels_issued, leaks, rc.leaked_fds, rc.leaked_sockets,
+              rc.kmalloc_delta);
+  json.record("overload-cancels", w, static_cast<double>(rc.cancels_issued),
+              rc.elapsed_s);
+  json.record("overload-cancel-leaks", w, static_cast<double>(leaks),
+              rc.elapsed_s);
+
+  std::printf("\nacceptance:\n");
+  check(goodput >= 70.0, "kdl goodput >= 70% of capacity at 2x offered load");
+  check(ratio <= 5.0, "admitted p99 <= 5x the uncontended p99");
+  check(accuracy >= 70.0, "shed accuracy >= 70%");
+  check(degraded == 1, "unprotected baseline goodput >= 15 points below kdl");
+  check(rc.cancels_issued >= 1000, ">= 1000 cancellations issued");
+  check(leaks == 0, "zero fds/sockets leaked through the cancel storm");
+  bench::print_note("goodput = in-deadline responses / what the calibrated "
+                    "capacity could serve in the same wall time; admitted p99 "
+                    "= successful attempt latency; accuracy = served requests "
+                    "that met their deadline");
+  return check.failures;
+}
+
+struct Experiment {
+  const char* id;
+  int (*run)(bool quick);
+};
+constexpr Experiment kExperiments[] = {{"N1", n1}, {"N2", n2}, {"R1", r1},
+                                       {"R2", r2}, {"O1", o1}, {"R3", r3}};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bool quick = false;
+  std::string id;
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a == "--quick") {
+      quick = true;
+    } else {
+      id = a;
+    }
+  }
+  int failures = 0;
+  bool ran = false;
+  for (const Experiment& e : kExperiments) {
+    if (!id.empty() && id != e.id) continue;
+    failures += e.run(quick);
+    ran = true;
+  }
+  if (!ran) {
+    std::fprintf(stderr, "usage: %s [--quick] [N1|N2|R1|R2|O1|R3]\n", argv[0]);
+    return 2;
+  }
+  return failures == 0 ? 0 : 1;
+}

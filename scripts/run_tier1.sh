@@ -11,12 +11,12 @@
 #           cycles under every test's assertions)
 #   ring    the ring suites re-run with the aggressive breaker AND seeded
 #           transient injection at the ring fault sites (label `ring`),
-#           then bench_ring --quick with its JSON gated by the crossing
+#           then bench_serve --quick N2 with its JSON gated by the crossing
 #           thresholds (<= 0.5 crossings/req at batch 8, >= 4x vs plain)
 #   obs     the request-path suites re-run span-enabled (label `obs`:
 #           USK_SPAN=1 arms every SpanScope for real under the existing
-#           assertions), then bench_obs --quick with its JSON gated by
-#           the overhead budgets (disabled span site <= 1% of a null
+#           assertions), then bench_serve --quick O1 with its JSON gated
+#           by the overhead budgets (disabled span site <= 1% of a null
 #           syscall, span-enabled webserver slowdown <= 1.05x)
 #   storage the persistent-tier suites (store, journalfs, blockdev) with
 #           transient injection at the storage fault sites plus the crash
@@ -26,7 +26,7 @@
 #   dl      the request-path suites re-run with kdl armed end to end
 #           (label `dl`: USK_DL=1 plus seeded transient clock skew and
 #           spurious park wakeups at the dl fault sites), then
-#           bench_overload --quick with its JSON gated by the R3 budgets:
+#           bench_serve --quick R3 with its JSON gated by the R3 budgets:
 #           goodput >= 70% of capacity at 2x offered load, admitted p99
 #           <= 5x the uncontended p99, shed accuracy >= 70%, the
 #           unprotected baseline degraded, >= 1000 cancels with ZERO
@@ -40,13 +40,17 @@
 #           single-lock kernel), work stealing live (>= 1 steal), the
 #           watchdog still killing a runaway task, and ZERO park timeouts
 #           (all wakeups event-driven; no interval re-polling anywhere)
+#   stress  the race-prone suites (Smp, DlSmp, Store) repeated until
+#           failure, 20 rounds under ctest -j: a flaky park/kill/cancel
+#           handshake or a shared test file shows up here, not by luck
 #   asan    the fault soak again under AddressSanitizer, proving the
 #           injected error paths free everything they unwind past
 #   ubsan   the fault + sup soaks under UndefinedBehaviorSanitizer
 #           (halt_on_error: any UB report is a red run)
 #
 # Usage: scripts/run_tier1.sh [plain|faults|sup|ring|obs|storage|sched|
-#                              dl|asan|ubsan|tsan|all]  (default: all)
+#                              dl|stress|asan|ubsan|tsan|all]
+#        (default: all)
 #
 # Build trees: build/ (plain + faults + sup + ring + obs + storage +
 # sched), build-asan/, build-ubsan/, build-tsan/. TSan is optional
@@ -70,7 +74,7 @@ run_faults() { build build; (cd build && ctest -L faults -j "$jobs" --output-on-
 run_sup()    { build build; (cd build && ctest -L sup -j "$jobs" --output-on-failure); }
 run_ring()   { build build; (cd build && ctest -L ring -j "$jobs" --output-on-failure);
                local json; json="$(mktemp)"
-               USK_BENCH_JSON="$json" ./build/bench/bench_ring --quick
+               USK_BENCH_JSON="$json" ./build/bench/bench_serve --quick N2
                python3 scripts/check_bench_json.py \
                  --expect bench_ring \
                  --expect-max 'bench_ring:crossings-ring-b8:0.5' \
@@ -79,7 +83,7 @@ run_ring()   { build build; (cd build && ctest -L ring -j "$jobs" --output-on-fa
                rm -f "$json"; }
 run_obs()    { build build; (cd build && ctest -L obs -j "$jobs" --output-on-failure);
                local json; json="$(mktemp)"
-               USK_BENCH_JSON="$json" ./build/bench/bench_obs --quick
+               USK_BENCH_JSON="$json" ./build/bench/bench_serve --quick O1
                python3 scripts/check_bench_json.py \
                  --expect bench_obs \
                  --expect-max 'bench_obs:span-disabled-overhead-pct:1.0' \
@@ -108,7 +112,7 @@ run_sched()  { build build; (cd build && ctest -L sched -j "$jobs" --output-on-f
                rm -f "$json"; }
 run_dl()     { build build; (cd build && ctest -L dl -j "$jobs" --output-on-failure);
                local json; json="$(mktemp)"
-               USK_BENCH_JSON="$json" ./build/bench/bench_overload --quick
+               USK_BENCH_JSON="$json" ./build/bench/bench_serve --quick R3
                python3 scripts/check_bench_json.py \
                  --expect bench_overload \
                  --expect-max 'bench_overload:dl-disarmed-overhead-pct:1.0' \
@@ -120,6 +124,9 @@ run_dl()     { build build; (cd build && ctest -L dl -j "$jobs" --output-on-fail
                  --expect-max 'bench_overload:overload-cancel-leaks:0' \
                  "$json"
                rm -f "$json"; }
+run_stress() { build build;
+               (cd build && ctest -R 'Smp|DlSmp|Store' -j "$jobs" \
+                  --repeat until-fail:20 --output-on-failure); }
 run_asan()   { build build-asan -DUSK_SANITIZE=address;
                (cd build-asan && ctest -L faults -j "$jobs" --output-on-failure); }
 run_ubsan()  { build build-ubsan -DUSK_SANITIZE=undefined;
@@ -138,10 +145,11 @@ case "$mode" in
   storage) run_storage ;;
   sched)  run_sched ;;
   dl)     run_dl ;;
+  stress) run_stress ;;
   asan)   run_asan ;;
   ubsan)  run_ubsan ;;
   tsan)   run_tsan ;;
   all)    run_plain; run_faults; run_sup; run_ring; run_obs; run_storage; run_sched; run_dl; run_asan; run_ubsan ;;
-  *) echo "usage: $0 [plain|faults|sup|ring|obs|storage|sched|dl|asan|ubsan|tsan|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [plain|faults|sup|ring|obs|storage|sched|dl|stress|asan|ubsan|tsan|all]" >&2; exit 2 ;;
 esac
 echo "run_tier1: $mode OK"

@@ -122,7 +122,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
 
   // Deterministic fuel exhaustion: the harness can void this compound's
   // fuel budget at entry -- before op 0, so no side effect has happened
-  // and a fallback retry is always safe (bench_supervisor's storm mode).
+  // and a fallback retry is always safe (bench_serve R2's supervised storm).
   if (auto f = USK_FAIL_POINT(fault::Site::kCosyFuel); f.fail) {
     if (guard != nullptr) guard->force_kind(sup::ViolationKind::kQuotaFuel);
     return quota_abort();

@@ -32,7 +32,7 @@
 //
 // Disarmed discipline (matches kspan/kfail/ksup): with kdl disabled,
 // the gateway check is ONE relaxed atomic load and a predicted branch;
-// DeadlineScope construction never touches the clock. bench_overload
+// DeadlineScope construction never touches the clock. bench_serve R3
 // measures this against a null syscall (acceptance: <= 1%).
 #pragma once
 

@@ -85,8 +85,10 @@ class Scheduler {
     Cpu& cpu = cpu_.local();
     Task* prev = cpu.current.load(std::memory_order_relaxed);
     if (prev == &t) return t;  // fast path: same task re-enters
-    if (prev != nullptr && prev->state() == TaskState::kRunning) {
-      prev->set_state(TaskState::kRunnable);
+    if (prev != nullptr) {
+      // CAS: a kill landing after a plain state read would be overwritten.
+      TaskState running = TaskState::kRunning;
+      prev->cas_state(running, TaskState::kRunnable);
     }
     const std::size_t me = base::current_cpu();
     const std::size_t last = t.last_cpu();

@@ -96,8 +96,13 @@ class WaitQueue {
       // Dekker handshake with Scheduler::kill: our parked_on store and
       // the killer's state store are both seq_cst, so either the pred
       // below sees kKilled or the killer sees parked_on and wakes us.
+      // The park itself is a CAS, never a plain store: a kill landing
+      // between reading the state and writing kParked would otherwise be
+      // overwritten, and the unpark CAS below would resurrect the task.
       prev = t->state();
-      if (prev != TaskState::kKilled) t->set_state(TaskState::kParked);
+      while (prev != TaskState::kKilled &&
+             !t->cas_state(prev, TaskState::kParked)) {
+      }
     }
     ws.parks.fetch_add(1, std::memory_order_relaxed);
     ws.parked_now.fetch_add(1, std::memory_order_relaxed);

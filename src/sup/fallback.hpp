@@ -22,7 +22,7 @@
 namespace usk::sup {
 
 /// Supervised consolidation::sys_accept_recv. The caller must initialize
-/// *uconnfd to -1 (the webserver's idiom already): the wrapper reads it
+/// *uconnfd to -1 (the serving workload does): the wrapper reads it
 /// back to distinguish "failed before accepting" (safe to retry
 /// classically) from "connection delivered, recv failed" (surfaced
 /// as-is). EAGAIN is passed through untouched.

@@ -6,7 +6,7 @@
 // budgets (deterministic jitter, exhaustion -> breaker), the kfail
 // dl.* sites, /proc/dl, WaitQueue timed waits, and TSan-targeted races
 // (timeout vs wake / kill / cancel) plus a cancellation-storm leak
-// oracle over the overload workload.
+// oracle over the serving workload's open arrivals.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,7 +28,7 @@
 #include "sched/waitqueue.hpp"
 #include "sup/supervisor.hpp"
 #include "uk/userlib.hpp"
-#include "workload/overload.hpp"
+#include "workload/serve.hpp"
 
 namespace usk::dl {
 namespace {
@@ -708,20 +708,16 @@ TEST(DlSmp, SmpTimeoutVsCancelRaceAlwaysUnparks) {
 // --- cancellation storm leak oracle --------------------------------------------
 
 TEST_F(DlTest, CancelStormLeaksNothing) {
-  workload::OverloadConfig cfg;
+  workload::ServeConfig cfg;
   cfg.workers = 2;
   cfg.client_threads = 8;
-  cfg.tenants = 2;
   cfg.requests = 500;
   cfg.offered_rps = 1500.0;
   cfg.file_bytes = 4096;
-  cfg.files = 2;
   cfg.deadline_ms = 30;
-  cfg.base_port = 9300;
-  cfg.seed = 7;
   cfg.cancel_period_us = 150;
-  workload::populate_overload_www(proc_, cfg);
-  workload::OverloadReport rep = workload::run_overload(kernel_, net_, cfg);
+  workload::populate_www(proc_, cfg);
+  workload::ServeReport rep = workload::run_serve(kernel_, net_, cfg);
 
   EXPECT_GE(rep.cancels_issued, 1000u);
   EXPECT_EQ(rep.leaked_fds, 0u);

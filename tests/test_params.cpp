@@ -215,6 +215,11 @@ struct CosyProgram {
   std::int64_t expect;
 };
 
+// Name each case by its program: gtest's default value printer dumps the
+// struct's raw bytes, whose string pointers change with every run under
+// ASLR, so the ctest names of these cases would never be stable.
+void PrintTo(const CosyProgram& prog, std::ostream* os) { *os << prog.name; }
+
 class CosyProgramTest : public ::testing::TestWithParam<CosyProgram> {};
 
 TEST_P(CosyProgramTest, CompilesValidatesAndComputes) {

@@ -25,7 +25,7 @@
 #include "sup/supervisor.hpp"
 #include "trace/span.hpp"
 #include "uk/userlib.hpp"
-#include "workload/webserver.hpp"
+#include "workload/serve.hpp"
 
 namespace usk {
 namespace {
@@ -81,29 +81,24 @@ class SpanTest : public ::testing::Test {
 
   /// One small webserver run with spans enabled; returns the drained
   /// span set after asserting the run itself completed every request.
-  std::vector<SpanRecord> run_ws(workload::ServeMode mode,
-                                 std::uint16_t base_port,
+  std::vector<SpanRecord> run_ws(workload::Vehicle mode,
                                  sup::Supervisor* sup = nullptr,
                                  std::size_t conns = 4) {
     net::Net net(kernel_);
     ring::RingDev rdev(kernel_, net);
-    workload::WebServerConfig cfg;
-    cfg.mode = mode;
+    workload::ServeConfig cfg;
+    cfg.vehicle = mode;
     cfg.workers = 1;  // deterministic span counts
     cfg.conns_per_worker = conns;
-    // >= ring_batch, so the pipelined ring client fills whole windows;
-    // recv-chunk-aligned documents keep the pipelined byte counting
-    // exact (one client recv never straddles two responses).
+    // >= ring_batch, so the pipelined ring client fills whole windows.
     cfg.requests_per_conn = 8;
     cfg.file_bytes = 4096;
-    cfg.files = 2;
-    cfg.base_port = base_port;
     cfg.supervisor = sup;
-    if (mode == workload::ServeMode::kRing) cfg.ring = &rdev;
+    if (mode == workload::Vehicle::kRing) cfg.ring = &rdev;
     workload::populate_www(proc_, cfg);
 
     trace::kspan().reset();
-    workload::WebServerReport rep = workload::run_webserver(kernel_, net, cfg);
+    workload::ServeReport rep = workload::run_serve(kernel_, net, cfg);
     EXPECT_EQ(rep.requests,
               cfg.workers * cfg.conns_per_worker * cfg.requests_per_conn);
     EXPECT_EQ(trace::kspan().stats().dropped, 0u);
@@ -218,7 +213,7 @@ TEST_F(SpanTest, ChromeExportBindsChildrenWithFlowEvents) {
 // --- one tree per request, per vehicle -----------------------------------------
 
 TEST_F(SpanTest, WebserverPlainOneSpanTreePerRequest) {
-  std::vector<SpanRecord> spans = run_ws(workload::ServeMode::kPlain, 8400);
+  std::vector<SpanRecord> spans = run_ws(workload::Vehicle::kPlain);
   expect_well_formed(spans);
   // Every served request got exactly one ingress span, promoted from
   // ws.data on the nonempty recv; accepts are their own (idle) roots.
@@ -235,7 +230,7 @@ TEST_F(SpanTest, WebserverPlainOneSpanTreePerRequest) {
 
 TEST_F(SpanTest, WebserverConsolidatedOneSpanTreePerRequest) {
   std::vector<SpanRecord> spans =
-      run_ws(workload::ServeMode::kConsolidated, 8410);
+      run_ws(workload::Vehicle::kConsolidated);
   expect_well_formed(spans);
   EXPECT_EQ(count_name(spans, "ws.request"), 32u);
   // The consolidated servercalls open CHILD spans inside the ingress
@@ -251,7 +246,7 @@ TEST_F(SpanTest, WebserverConsolidatedOneSpanTreePerRequest) {
 }
 
 TEST_F(SpanTest, WebserverCosyOneTreePerConnection) {
-  std::vector<SpanRecord> spans = run_ws(workload::ServeMode::kCosy, 8420);
+  std::vector<SpanRecord> spans = run_ws(workload::Vehicle::kCosy);
   expect_well_formed(spans);
   // Cosy serves the whole keep-alive connection as one request unit:
   // one root span per connection, compounds strictly inside it.
@@ -266,7 +261,7 @@ TEST_F(SpanTest, WebserverCosyOneTreePerConnection) {
 }
 
 TEST_F(SpanTest, WebserverRingOneTreePerConnection) {
-  std::vector<SpanRecord> spans = run_ws(workload::ServeMode::kRing, 8430);
+  std::vector<SpanRecord> spans = run_ws(workload::Vehicle::kRing);
   expect_well_formed(spans);
   EXPECT_EQ(count_name(spans, "ws.conn"), 4u);
   // Drained chains are children of the connection span and carry the
@@ -288,7 +283,7 @@ TEST_F(SpanTest, RingTreeSurvivesSqeCorruptFaults) {
   ASSERT_TRUE(fault::kfail()
                   .apply_spec("seed=29,ring.sqe_corrupt:p=0.05:transient")
                   .ok());
-  std::vector<SpanRecord> spans = run_ws(workload::ServeMode::kRing, 8440);
+  std::vector<SpanRecord> spans = run_ws(workload::Vehicle::kRing);
   fault::kfail().disarm_all();
   // run_ws already asserted every request completed; the recovery
   // re-validation must not have detached any span from its tree.
@@ -306,12 +301,8 @@ TEST_F(SpanTest, RingTreeSurvivesSqeCorruptFaults) {
 TEST_F(SpanTest, QuarantineFallbackKeepsOneTreeNoOrphans) {
   sup::Supervisor s(kernel_);
   sup::BreakerPolicy pol;
-  pol.violation_threshold = 1;
-  pol.window_invocations = 16;
-  pol.probation_clean_runs = 1;
-  pol.backoff_initial = 1;
-  pol.backoff_multiplier = 2;
-  pol.backoff_cap = 4;
+  ASSERT_TRUE(sup::Supervisor::policy_from_spec(
+      "threshold=1,window=16,probation=1,backoff=1,mult=2,cap=4", &pol));
   s.set_policy(pol);
 
   // A dense fuel storm (one compound per connection, so half the 8
@@ -319,7 +310,7 @@ TEST_F(SpanTest, QuarantineFallbackKeepsOneTreeNoOrphans) {
   // probes mid-run; every voided compound decomposes to classic syscalls.
   ASSERT_TRUE(fault::kfail().apply_spec("seed=11,cosy_fuel:p=0.5").ok());
   std::vector<SpanRecord> spans =
-      run_ws(workload::ServeMode::kCosy, 8450, &s, /*conns=*/8);
+      run_ws(workload::Vehicle::kCosy, &s, /*conns=*/8);
   fault::kfail().disarm_all();
 
   ASSERT_EQ(s.extension_count(), 1u);

@@ -6,9 +6,9 @@
 // dirty-page budgets through the cache's dirty gate, and the
 // /proc/blockdev/cache + /proc/store/** renderers.
 //
-// Image files are created with RELATIVE paths (ctest runs inside the
-// build tree) and removed per test; every name is unique to the test so
-// parallel ctest shards never collide.
+// Image files live in a per-test scratch directory named after the test
+// and the pid (tests/scratch_dir.hpp), removed in teardown, so parallel
+// ctest shards and label soaks never share an image.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,6 +26,7 @@
 #include "fs/memfs.hpp"
 #include "fs/procfs.hpp"
 #include "metrics/metrics.hpp"
+#include "scratch_dir.hpp"
 #include "store/image.hpp"
 #include "store/journal.hpp"
 #include "store/store.hpp"
@@ -55,15 +56,10 @@ class StoreTest : public ::testing::Test {
   ~StoreTest() override {
     fault::kfail().disarm_all();
     fault::kfail().reset_stats();
-    for (const std::string& f : files_) std::remove(f.c_str());
   }
 
-  /// Register an image file for removal and return its (relative) path.
-  std::string img(const std::string& name) {
-    files_.push_back(name);
-    std::remove(name.c_str());
-    return name;
-  }
+  /// Path of an image file in this test's scratch directory.
+  std::string img(const std::string& name) { return scratch_.path(name); }
 
   static std::vector<std::uint8_t> pattern(std::uint8_t tag) {
     std::vector<std::uint8_t> b(store::kBlockBytes);
@@ -73,7 +69,7 @@ class StoreTest : public ::testing::Test {
     return b;
   }
 
-  std::vector<std::string> files_;
+  test::ScratchDir scratch_;
 };
 
 /// In-memory BlockBackend that records write order -- the observation

@@ -32,7 +32,7 @@
 #include "trace/histogram.hpp"
 #include "uk/kernel.hpp"
 #include "uk/userlib.hpp"
-#include "workload/webserver.hpp"
+#include "workload/serve.hpp"
 
 namespace usk {
 namespace {
@@ -929,23 +929,17 @@ TEST_F(SupTest, SloProcFileAndMetricsRenderMatchingPercentiles) {
 TEST_F(SupTest, SupervisedWebserverCompletesAllRequestsUnderFuelStorm) {
   Supervisor s(kernel_);
   BreakerPolicy pol;
-  pol.violation_threshold = 1;
-  pol.window_invocations = 16;
-  pol.probation_clean_runs = 1;
-  pol.backoff_initial = 1;
-  pol.backoff_multiplier = 2;
-  pol.backoff_cap = 4;
+  ASSERT_TRUE(Supervisor::policy_from_spec(
+      "threshold=1,window=16,probation=1,backoff=1,mult=2,cap=4", &pol));
   s.set_policy(pol);
 
   net::Net net(kernel_);
-  workload::WebServerConfig cfg;
+  workload::ServeConfig cfg;
   cfg.workers = 1;  // deterministic injection schedule
   cfg.conns_per_worker = 8;
   cfg.requests_per_conn = 4;
   cfg.file_bytes = 2048;
-  cfg.files = 2;
-  cfg.base_port = 8300;
-  cfg.mode = workload::ServeMode::kCosy;
+  cfg.vehicle = workload::Vehicle::kCosy;
   cfg.supervisor = &s;
 
   uk::Proc www(kernel_, "www-pop");
@@ -955,7 +949,7 @@ TEST_F(SupTest, SupervisedWebserverCompletesAllRequestsUnderFuelStorm) {
   // entry. Every voided compound is rescued by the classic loop, so the
   // client still receives EVERY response in full.
   ASSERT_TRUE(fault::kfail().apply_spec("seed=11,cosy_fuel:p=0.15").ok());
-  workload::WebServerReport rep = workload::run_webserver(kernel_, net, cfg);
+  workload::ServeReport rep = workload::run_serve(kernel_, net, cfg);
   fault::kfail().disarm_all();
 
   const std::uint64_t expect =

@@ -1,13 +1,17 @@
 // Tests for the workload generators: PostMark, the Am-utils build
-// analogue, the synthetic trace generator, and the executable interactive
-// session.
+// analogue, the synthetic trace generator, the executable interactive
+// session, and the serving workload's request ingress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
+#include "net/net.hpp"
 #include "uk/userlib.hpp"
 #include "workload/amutils.hpp"
 #include "workload/postmark.hpp"
+#include "workload/serve.hpp"
 #include "workload/tracegen.hpp"
 
 namespace usk::workload {
@@ -159,6 +163,71 @@ TEST_F(WorkloadTest, InteractiveSessionRunsAndAudits) {
     }
   }
   EXPECT_TRUE(found_burst);
+}
+
+// --- serving: the one request-ingress parser ---------------------------------
+
+/// Connect to worker 0, send `frame` null-padded to kFrameBytes, read
+/// until EOF or `want` bytes: the bytes received, or -1 when the request
+/// never went out.
+std::int64_t fetch(uk::Proc& cli, net::Net& net, const std::string& frame,
+                   std::size_t want) {
+  uk::Process& p = cli.process();
+  char buf[4096] = {};
+  std::memcpy(buf, frame.data(), frame.size());
+  const int fd = static_cast<int>(net.sys_socket(p));
+  std::int64_t got = net.sys_connect(p, fd, kBasePort) == 0 &&
+                             net.sys_send(p, fd, buf, kFrameBytes) ==
+                                 static_cast<SysRet>(kFrameBytes)
+                         ? 0
+                         : -1;
+  while (got >= 0 && static_cast<std::size_t>(got) < want) {
+    const SysRet n = net.sys_recv(p, fd, buf, sizeof buf);
+    if (n <= 0) break;
+    got += n;
+  }
+  cli.close(fd);
+  return got;
+}
+
+// Frames arrive from outside the program. Each malformed one must retire
+// its connection unserved -- the client sees EOF before the first byte --
+// without leaking an fd or a socket, and the worker must go on to serve
+// the next well-formed connection in full.
+TEST_F(WorkloadTest, MalformedFramesRetireTheirConnectionOnly) {
+  ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.conns_per_worker = 2;  // the malformed connection, then a good one
+  cfg.file_bytes = 4096;
+  populate_www(proc_, cfg);
+
+  const std::string fills_frame = "GET /www/" + std::string(kFrameBytes - 9, 'a');
+  const struct {
+    const char* name;
+    std::string frame;
+  } frames[] = {{"empty", ""},
+                {"no path", "GET"},
+                {"path fills the frame", fills_frame},
+                {"non-numeric deadline", "GET /www/f0 soon 1"}};
+  ASSERT_EQ(fills_frame.size(), kFrameBytes);
+
+  for (Vehicle v : {Vehicle::kPlain, Vehicle::kConsolidated}) {
+    for (const auto& f : frames) {
+      SCOPED_TRACE(std::string(vehicle_name(v)) + ": " + f.name);
+      net::Net net(kernel_);
+      cfg.vehicle = v;
+      uk::Proc cli(kernel_, "cli");
+      Server srv(kernel_, net, cfg);
+      EXPECT_EQ(fetch(cli, net, f.frame, cfg.file_bytes), 0);
+      EXPECT_EQ(fetch(cli, net, "GET /www/f1", cfg.file_bytes),
+                static_cast<std::int64_t>(cfg.file_bytes));
+      const ServeReport rep = srv.stop();
+      EXPECT_EQ(rep.conns, 2u);
+      EXPECT_EQ(rep.leaked_fds, 0u);
+      EXPECT_EQ(rep.leaked_sockets, 0u);
+      EXPECT_EQ(cli.process().fds.open_count(), 0u);
+    }
+  }
 }
 
 }  // namespace
