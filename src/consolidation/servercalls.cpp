@@ -1,7 +1,8 @@
 #include "consolidation/servercalls.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <array>
+#include <memory>
 
 #include "trace/span.hpp"
 #include "trace/tracepoint.hpp"
@@ -31,9 +32,11 @@ SysRet sys_accept_recv(net::Net& net, Kernel& k, Process& p, int listenfd,
 
   std::shared_ptr<net::Socket> conn = net.find_socket(
       p.fds.get(connfd.value())->ino);
-  n = std::min(n, Kernel::kMaxIo);
-  std::vector<std::byte> kbuf(n);
-  Result<std::size_t> r = net.recv_into(*conn, std::span(kbuf.data(), n));
+  // Capped at the queue's capacity and uninitialised, as in Net::do_recv:
+  // only the bytes recv_into returns are ever copied out.
+  n = std::min({n, Kernel::kMaxIo, conn->rx_.capacity()});
+  auto kbuf = std::make_unique_for_overwrite<std::byte[]>(n);
+  Result<std::size_t> r = net.recv_into(*conn, std::span(kbuf.get(), n));
   if (!r) {
     // The accept succeeded; hand the fd back even though the first read
     // failed (EAGAIN on a nonblocking empty connection is normal). A
@@ -53,7 +56,7 @@ SysRet sys_accept_recv(net::Net& net, Kernel& k, Process& p, int listenfd,
   }
   if (r.value() > 0) {
     if (Result<std::size_t> c =
-            k.boundary().copy_to_user(p.task, ubuf, kbuf.data(), r.value());
+            k.boundary().copy_to_user(p.task, ubuf, kbuf.get(), r.value());
         !c) {
       return scope.fail(c.error());
     }
@@ -89,7 +92,7 @@ SysRet sys_sendfile(net::Net& net, Kernel& k, Process& p, int sockfd,
   // time. No copy_{from,to}_user: this is the zero-copy path the paper's
   // consolidated calls point toward.
   constexpr std::size_t kChunk = 4096;
-  std::vector<std::byte> kbuf(kChunk);
+  std::array<std::byte, kChunk> kbuf;  // uninitialised: read fills it
   std::uint64_t pos = offset;
   std::size_t total = 0;
   Errno err = Errno::kOk;

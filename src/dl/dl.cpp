@@ -280,13 +280,26 @@ bool Admission::try_admit(std::int64_t remaining_ns) {
 void Admission::depart(std::uint64_t service_ns) {
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   Kdl::instance().service_hist().record(service_ns);
-  // Refresh the cached percentile off the per-request path: snapshotting
-  // 44 buckets every departure would put a loop in the serving loop.
   std::uint64_t n = departs_.fetch_add(1, std::memory_order_relaxed) + 1;
+  recent_[(n - 1) % kWindow].store(service_ns, std::memory_order_relaxed);
+  // Refresh the cached percentile off the per-request path: selecting
+  // over the window every departure would put a loop in the serving
+  // loop. Slots no depart has filled yet read 0 and are skipped; after
+  // the first lap, a slot a concurrent depart has claimed but not yet
+  // filled still holds the service time it had one lap earlier.
   if (n % 32 == 1) {
-    est_ns_.store(
-        Kdl::instance().service_hist().snapshot().percentile(cfg_.percentile),
-        std::memory_order_relaxed);
+    std::array<std::uint64_t, kWindow> w{};
+    std::size_t m = 0;
+    for (const std::atomic<std::uint64_t>& r : recent_) {
+      if (std::uint64_t v = r.load(std::memory_order_relaxed); v != 0) {
+        w[m++] = v;
+      }
+    }
+    if (m == 0) return;
+    const auto rank = static_cast<std::size_t>(
+        cfg_.percentile / 100.0 * static_cast<double>(m - 1) + 0.5);
+    std::nth_element(w.begin(), w.begin() + rank, w.begin() + m);
+    est_ns_.store(w[rank], std::memory_order_relaxed);
   }
 }
 

@@ -24,11 +24,10 @@
 //
 //  3. Admission control. dl::Admission bounds inflight requests and
 //     sheds at ingress when the *estimated* queue delay -- inflight x a
-//     percentile of the served-latency log2 histogram (the same
-//     eBPF-style histogram ktrace uses) -- already exceeds the arriving
-//     request's deadline budget. Clients hold per-tenant RetryBudgets
-//     (exponential backoff, deterministic jitter); an exhausted budget
-//     is the ksup hook that trips the tenant's breaker.
+//     percentile of the pool's recent service times -- already exceeds
+//     the arriving request's deadline budget. Clients hold per-tenant
+//     RetryBudgets (exponential backoff, deterministic jitter); an
+//     exhausted budget is the ksup hook that trips the tenant's breaker.
 //
 // Disarmed discipline (matches kspan/kfail/ksup): with kdl disabled,
 // the gateway check is ONE relaxed atomic load and a predicted branch;
@@ -36,6 +35,7 @@
 // measures this against a null syscall (acceptance: <= 1%).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -97,7 +97,7 @@ struct DlStats {
 class RetryBudget;
 
 /// Singleton owner of kdl state: the arming flag, global stats, the
-/// served-latency histogram feeding admission estimates, and the tenant
+/// served-latency histogram behind /proc/dl/stats, and the tenant
 /// registry behind /proc/dl/tenants.
 class Kdl {
  public:
@@ -109,8 +109,7 @@ class Kdl {
   DlStats& stats() { return stats_; }
   [[nodiscard]] const DlStats& stats() const { return stats_; }
 
-  /// Wall latency of retired admitted requests (ns). Admission reads a
-  /// percentile of this to estimate queue delay at ingress.
+  /// Wall latency of retired admitted requests (ns), for /proc/dl/stats.
   trace::Histogram& service_hist() { return service_hist_; }
 
   /// Zero stats and the service histogram (tests, /proc reset write).
@@ -204,7 +203,7 @@ bool spurious_wake();
 struct AdmissionConfig {
   std::size_t max_inflight = 64;  ///< hard inflight bound
   double percentile = 90.0;       ///< service-estimate percentile
-  std::uint64_t min_service_ns = 1000;  ///< estimate floor (cold hist)
+  std::uint64_t min_service_ns = 1000;  ///< estimate floor (cold start)
 };
 
 class Admission {
@@ -227,10 +226,17 @@ class Admission {
   [[nodiscard]] std::uint64_t service_estimate_ns() const;
 
  private:
+  /// Service times the estimate is taken over: the last kWindow departs.
+  /// Exact values, not Kdl's log2 histogram, whose bucket upper bound
+  /// overstates a percentile by up to 2x -- enough to halve the inflight
+  /// count the feasibility test allows.
+  static constexpr std::size_t kWindow = 64;
+
   AdmissionConfig cfg_;
   std::atomic<std::size_t> inflight_{0};
   std::atomic<std::uint64_t> est_ns_{0};    ///< cached percentile
   std::atomic<std::uint64_t> departs_{0};   ///< refresh cadence counter
+  std::array<std::atomic<std::uint64_t>, kWindow> recent_{};  ///< ring
 };
 
 /// Client-side per-tenant retry budget: exponential backoff with

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "dl/dl.hpp"
 #include "fault/kfail.hpp"
@@ -38,13 +39,19 @@ void Net::charge(std::uint64_t units) {
 }
 
 void Net::note_sendfile(std::uint64_t bytes) {
-  std::lock_guard lk(stats_mu_);
-  nstats_.sendfile_bytes += bytes;
+  sendfile_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 NetStats Net::stats() const {
-  std::lock_guard lk(stats_mu_);
-  return nstats_;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  NetStats out;
+  out.sockets_created = sockets_created_.load(kRelaxed);
+  out.conns_accepted = conns_accepted_.load(kRelaxed);
+  out.conns_refused = conns_refused_.load(kRelaxed);
+  out.bytes_sent = bytes_sent_.load(kRelaxed);
+  out.packets_sent = packets_sent_.load(kRelaxed);
+  out.sendfile_bytes = sendfile_bytes_.load(kRelaxed);
+  return out;
 }
 
 template <typename Pred>
@@ -94,10 +101,7 @@ std::shared_ptr<Socket> Net::make_socket(bool nonblock) {
   fs::InodeNum ino = next_ino_++;
   auto s = std::make_shared<Socket>(ino, costs_, nonblock);
   sockets_[ino] = s;
-  {
-    std::lock_guard slk(stats_mu_);
-    ++nstats_.sockets_created;
-  }
+  sockets_created_.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
 
@@ -212,8 +216,7 @@ SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
     refused = lsn->state_ != SockState::kListening;
   }
   if (refused) {
-    std::lock_guard slk(stats_mu_);
-    ++nstats_.conns_refused;
+    conns_refused_.fetch_add(1, std::memory_order_relaxed);
     return scope.fail(Errno::kECONNREFUSED);
   }
 
@@ -299,10 +302,7 @@ Result<int> Net::accept_pop(uk::Process& p, Socket& ls) {
     drop_socket(conn);
     return fd.error();
   }
-  {
-    std::lock_guard slk(stats_mu_);
-    ++nstats_.conns_accepted;
-  }
+  conns_accepted_.fetch_add(1, std::memory_order_relaxed);
   return fd;
 }
 
@@ -384,11 +384,8 @@ Result<std::size_t> Net::send_from(Socket& s,
       s.bytes_tx_ += pushed;
       s.pkts_tx_ += pkts;
     }
-    {
-      std::lock_guard stlk(stats_mu_);
-      nstats_.bytes_sent += pushed;
-      nstats_.packets_sent += pkts;
-    }
+    bytes_sent_.fetch_add(pushed, std::memory_order_relaxed);
+    packets_sent_.fetch_add(pkts, std::memory_order_relaxed);
     sent += pushed;
   }
   return sent;
@@ -433,13 +430,14 @@ SysRet Net::do_send(uk::Process& p, int fd, const void* ubuf,
   if (!rs) return sysret_err(rs.error());
   if (ubuf == nullptr) return sysret_err(Errno::kEFAULT);
   n = std::min(n, uk::Kernel::kMaxIo);
-  std::vector<std::byte> kbuf(n);
+  // Uninitialised: copy_from_user overwrites all n bytes before any read.
+  auto kbuf = std::make_unique_for_overwrite<std::byte[]>(n);
   if (Result<std::size_t> c =
-          k_.boundary().copy_from_user(p.task, kbuf.data(), ubuf, n);
+          k_.boundary().copy_from_user(p.task, kbuf.get(), ubuf, n);
       !c) {
     return sysret_err(c.error());
   }
-  Result<std::size_t> r = send_from(*rs.value(), std::span(kbuf.data(), n));
+  Result<std::size_t> r = send_from(*rs.value(), std::span(kbuf.get(), n));
   if (!r) return sysret_err(r.error());
   return static_cast<SysRet>(r.value());
 }
@@ -459,15 +457,19 @@ SysRet Net::do_recv(uk::Process& p, int fd, void* ubuf, std::size_t n) {
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
   if (!rs) return sysret_err(rs.error());
   if (ubuf == nullptr) return sysret_err(Errno::kEFAULT);
-  n = std::min(n, uk::Kernel::kMaxIo);
-  std::vector<std::byte> kbuf(n);
-  Result<std::size_t> r = recv_into(*rs.value(), std::span(kbuf.data(), n));
+  Socket& s = *rs.value();
+  // recv_into never returns more than the queue holds, so the staging
+  // buffer is capped at its capacity and left uninitialised: only the
+  // r.value() bytes recv_into wrote reach copy_to_user.
+  n = std::min({n, uk::Kernel::kMaxIo, s.rx_.capacity()});
+  auto kbuf = std::make_unique_for_overwrite<std::byte[]>(n);
+  Result<std::size_t> r = recv_into(s, std::span(kbuf.get(), n));
   if (!r) return sysret_err(r.error());
   if (r.value() > 0) {
     // The bytes were already drained from the socket; a faulted copy-out
     // loses them, exactly like a real recv whose user page vanished.
     if (Result<std::size_t> c =
-            k_.boundary().copy_to_user(p.task, ubuf, kbuf.data(), r.value());
+            k_.boundary().copy_to_user(p.task, ubuf, kbuf.get(), r.value());
         !c) {
       return sysret_err(c.error());
     }

@@ -15,6 +15,7 @@
 // accept_recv/sendfile calls in src/consolidation are built on them.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -246,8 +247,14 @@ class Net {
   std::map<fs::InodeNum, std::shared_ptr<Epoll>> epolls_;
   std::map<std::uint16_t, std::weak_ptr<Socket>> ports_;
 
-  mutable std::mutex stats_mu_;
-  NetStats nstats_;
+  /// NetStats counters as relaxed atomics: the send path bumps them
+  /// without a lock, and stats() loads each into one snapshot.
+  std::atomic<std::uint64_t> sockets_created_{0};
+  std::atomic<std::uint64_t> conns_accepted_{0};
+  std::atomic<std::uint64_t> conns_refused_{0};
+  std::atomic<std::uint64_t> bytes_sent_{0};
+  std::atomic<std::uint64_t> packets_sent_{0};
+  std::atomic<std::uint64_t> sendfile_bytes_{0};
 };
 
 }  // namespace usk::net

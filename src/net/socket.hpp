@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -52,29 +53,47 @@ struct NetCosts {
 };
 
 /// Bounded byte ring: the per-connection receive queue.
+///
+/// push and pop move their whole span with at most two memcpy calls, one
+/// up to the wrap point and one from the start of the buffer, so the
+/// wrap is computed once per call, not once per byte. The storage is
+/// left uninitialised: a byte is only ever read after push wrote it.
+/// When a pop drains the queue, head_ returns to 0, so a
+/// request/response connection keeps reusing the same (cache-warm)
+/// bytes at the front of the buffer instead of walking the whole ring.
 class ByteQueue {
  public:
   explicit ByteQueue(std::size_t capacity)
-      : buf_(capacity), cap_(capacity) {}
+      : buf_(std::make_unique_for_overwrite<std::byte[]>(capacity)),
+        cap_(capacity) {}
 
   /// Append as much of `in` as fits; returns bytes accepted.
   std::size_t push(std::span<const std::byte> in) {
-    std::size_t n = std::min(in.size(), cap_ - size_);
-    for (std::size_t i = 0; i < n; ++i) {
-      buf_[(head_ + size_ + i) % cap_] = in[i];
-    }
+    const std::size_t n = std::min(in.size(), cap_ - size_);
+    if (n == 0) return 0;
+    std::size_t tail = head_ + size_;
+    if (tail >= cap_) tail -= cap_;
+    const std::size_t first = std::min(n, cap_ - tail);
+    std::memcpy(buf_.get() + tail, in.data(), first);
+    if (n > first) std::memcpy(buf_.get(), in.data() + first, n - first);
     size_ += n;
     return n;
   }
 
   /// Remove up to out.size() bytes; returns bytes delivered.
   std::size_t pop(std::span<std::byte> out) {
-    std::size_t n = std::min(out.size(), size_);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = buf_[(head_ + i) % cap_];
-    }
-    head_ = (head_ + n) % cap_;
+    const std::size_t n = std::min(out.size(), size_);
+    if (n == 0) return 0;
+    const std::size_t first = std::min(n, cap_ - head_);
+    std::memcpy(out.data(), buf_.get() + head_, first);
+    if (n > first) std::memcpy(out.data() + first, buf_.get(), n - first);
     size_ -= n;
+    if (size_ == 0) {
+      head_ = 0;  // drained: the next push starts at the warm front
+    } else {
+      head_ += n;
+      if (head_ >= cap_) head_ -= cap_;
+    }
     return n;
   }
 
@@ -83,7 +102,7 @@ class ByteQueue {
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
  private:
-  std::vector<std::byte> buf_;
+  std::unique_ptr<std::byte[]> buf_;
   std::size_t cap_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -444,8 +444,7 @@ TEST_F(DlTest, AdmissionShedsInfeasibleBudgets) {
     adm.depart(2'000'000);
   }
   const std::uint64_t est = adm.service_estimate_ns();
-  EXPECT_GE(est, 1'000'000u);   // ~2ms, log2-bucket coarse
-  EXPECT_LE(est, 10'000'000u);
+  EXPECT_EQ(est, 2'000'000u);
   // A budget smaller than one service time is infeasible; a budget an
   // order of magnitude above it is admitted.
   EXPECT_FALSE(adm.try_admit(static_cast<std::int64_t>(est) / 2));
@@ -453,6 +452,24 @@ TEST_F(DlTest, AdmissionShedsInfeasibleBudgets) {
   EXPECT_FALSE(adm.try_admit(-5));
   EXPECT_TRUE(adm.try_admit(static_cast<std::int64_t>(est) * 10));
   adm.depart(2'000'000);
+}
+
+// The estimate is a percentile of exact recent service times. A log2
+// bucket bound would put a 2.2 ms p90 at 4.19 ms, and with a 7 ms budget
+// the second concurrent request (2 x 4.19 ms) would be shed, although
+// three 2.2 ms services fit in 7 ms.
+TEST_F(DlTest, AdmissionEstimateIsNotRoundedUpToABucketBound) {
+  Admission adm;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(adm.try_admit(1'000'000'000));
+    adm.depart(i % 10 == 9 ? 6'000'000 : 2'200'000);  // a 10% slow tail
+  }
+  EXPECT_EQ(adm.service_estimate_ns(), 2'200'000u);
+  EXPECT_TRUE(adm.try_admit(7'000'000));
+  EXPECT_TRUE(adm.try_admit(7'000'000));
+  EXPECT_TRUE(adm.try_admit(7'000'000));
+  EXPECT_FALSE(adm.try_admit(7'000'000));  // 4 x 2.2 ms > 7 ms
+  for (int i = 0; i < 3; ++i) adm.depart(2'200'000);
 }
 
 // --- retry budgets -------------------------------------------------------------

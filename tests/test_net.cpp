@@ -1,11 +1,15 @@
-// Tests for the loopback network stack: socket lifecycle and errno
-// paths, fd-table interop (dup, read/write parity), the epoll
-// multiplexer, the consolidated server calls, /proc/net, and a
-// multi-threaded client/server stress run (TSan target).
+// Tests for the loopback network stack: the receive ring (ByteQueue),
+// socket lifecycle and errno paths, fd-table interop (dup, read/write
+// parity), the epoll multiplexer, the consolidated server calls,
+// /proc/net, and multi-threaded streaming and client/server stress runs
+// (TSan targets).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <deque>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +20,93 @@
 
 namespace usk::net {
 namespace {
+
+std::vector<std::byte> pattern(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::byte> v(n);
+  for (std::byte& b : v) b = static_cast<std::byte>(rng());
+  return v;
+}
+
+// --- ByteQueue: the per-connection receive ring ----------------------------
+
+TEST(ByteQueueTest, NonPowerOfTwoCapacityAcceptsPartialPushWhenFull) {
+  ByteQueue q(1000);
+  std::vector<std::byte> in = pattern(1200, 1);
+  EXPECT_EQ(q.push(std::span(in.data(), 600)), 600u);
+  // Only 400 bytes of the next 600 fit; push reports what it took.
+  EXPECT_EQ(q.push(std::span(in.data() + 600, 600)), 400u);
+  EXPECT_EQ(q.size(), 1000u);
+  EXPECT_EQ(q.free_space(), 0u);
+  EXPECT_EQ(q.push(std::span(in.data() + 1000, 200)), 0u);
+
+  std::vector<std::byte> out(1000);
+  EXPECT_EQ(q.pop(out), 1000u);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), in.begin()));
+}
+
+TEST(ByteQueueTest, PopAcrossTheWrapPointThenRoundTripAfterDrain) {
+  ByteQueue q(1000);
+  std::vector<std::byte> in = pattern(1500, 2);
+  std::vector<std::byte> out(1500);
+  ASSERT_EQ(q.push(std::span(in.data(), 900)), 900u);
+  ASSERT_EQ(q.pop(std::span(out.data(), 800)), 800u);
+  // 100 queued at [800, 900); the next 600 fill [900, 1000) then wrap to
+  // [0, 500), so this pop reads from both segments.
+  ASSERT_EQ(q.push(std::span(in.data() + 900, 600)), 600u);
+  ASSERT_EQ(q.pop(std::span(out.data() + 800, 300)), 300u);
+  EXPECT_EQ(q.size(), 400u);
+  ASSERT_EQ(q.pop(std::span(out.data() + 1100, 1000)), 400u);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), in.begin()));
+
+  // A full-capacity round trip after the drain.
+  ASSERT_EQ(q.push(std::span(in.data(), 1000)), 1000u);
+  ASSERT_EQ(q.pop(std::span(out.data(), 1000)), 1000u);
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + 1000, in.begin()));
+}
+
+TEST(ByteQueueTest, ZeroLengthPushAndPopWithNullData) {
+  ByteQueue q(1000);
+  EXPECT_EQ(q.push(std::span<const std::byte>()), 0u);
+  EXPECT_EQ(q.pop(std::span<std::byte>()), 0u);
+  std::vector<std::byte> in = pattern(10, 3);
+  ASSERT_EQ(q.push(in), 10u);
+  EXPECT_EQ(q.push(std::span<const std::byte>()), 0u);
+  EXPECT_EQ(q.pop(std::span<std::byte>()), 0u);
+  EXPECT_EQ(q.size(), 10u);
+}
+
+// Seeded model check: 100k random push/pop sizes (including zero and
+// more than the capacity) against std::deque, byte for byte.
+TEST(ByteQueueTest, SeededModelMatchesDeque) {
+  constexpr std::size_t kCap = 1000;
+  ByteQueue q(kCap);
+  std::deque<std::byte> model;
+  std::mt19937 rng(0x5eed);
+  std::uniform_int_distribution<std::size_t> len(0, kCap + 200);
+  std::vector<std::byte> buf(kCap + 200);
+  std::uint8_t next = 0;
+  for (int step = 0; step < 100000; ++step) {
+    const std::size_t n = len(rng);
+    if (rng() % 2 == 0) {
+      for (std::size_t i = 0; i < n; ++i) buf[i] = std::byte{next++};
+      const std::size_t want = std::min(n, kCap - model.size());
+      ASSERT_EQ(q.push(std::span(buf.data(), n)), want) << "step " << step;
+      // A short push takes a prefix; the rest is offered again later.
+      next = static_cast<std::uint8_t>(next - (n - want));
+      model.insert(model.end(), buf.begin(), buf.begin() + want);
+    } else {
+      const std::size_t want = std::min(n, model.size());
+      ASSERT_EQ(q.pop(std::span(buf.data(), n)), want) << "step " << step;
+      ASSERT_TRUE(std::equal(buf.begin(), buf.begin() + want, model.begin()))
+          << "step " << step;
+      model.erase(model.begin(), model.begin() + want);
+    }
+    ASSERT_EQ(q.size(), model.size());
+    ASSERT_EQ(q.free_space(), kCap - model.size());
+  }
+}
 
 class NetTest : public ::testing::Test {
  protected:
@@ -187,6 +278,26 @@ TEST_F(NetTest, BadFdCheckedBeforeUserBuffer) {
   Trio t = make_pair_on(7050);
   EXPECT_EQ(net_.sys_send(p, t.cli, nullptr, 16), sysret_err(Errno::kEFAULT));
   EXPECT_EQ(net_.sys_recv(p, t.srv, nullptr, 16), sysret_err(Errno::kEFAULT));
+  proc_.close(t.cli);
+  proc_.close(t.srv);
+  proc_.close(t.lfd);
+}
+
+// recv stages only what the queue can hold and copies out only what it
+// delivered: a 1 MiB user buffer over a 5-byte queue gets 5 bytes, and
+// the rest of the buffer is untouched.
+TEST_F(NetTest, RecvCopiesOutOnlyTheBytesDelivered) {
+  uk::Process& p = proc_.process();
+  Trio t = make_pair_on(7130);
+  const char msg[] = "hello";
+  ASSERT_EQ(net_.sys_send(p, t.cli, msg, 5), 5);
+  constexpr std::size_t kBuf = 1 << 20;
+  constexpr char kSentinel = '\x5a';
+  std::vector<char> ubuf(kBuf, kSentinel);
+  ASSERT_EQ(net_.sys_recv(p, t.srv, ubuf.data(), kBuf), 5);
+  EXPECT_EQ(std::memcmp(ubuf.data(), msg, 5), 0);
+  EXPECT_TRUE(std::all_of(ubuf.begin() + 5, ubuf.end(),
+                          [](char c) { return c == kSentinel; }));
   proc_.close(t.cli);
   proc_.close(t.srv);
   proc_.close(t.lfd);
@@ -444,6 +555,67 @@ TEST_F(NetTest, ProcNetTables) {
   proc_.close(t.cli);
   proc_.close(t.srv);
   proc_.close(t.lfd);
+}
+
+// 1 MiB through one blocking connection, sender and receiver on their
+// own threads, in chunk sizes that share no factor with the 64 KiB queue:
+// the sender parks on a full queue and the ring wraps at ever-changing
+// offsets. Every byte is checked, and the lock-free send counters add
+// up to the exact total.
+TEST_F(NetTest, SmpStreamOneMiBThroughBlockingPair) {
+  constexpr std::size_t kTotal = 1 << 20;
+  constexpr std::size_t kSendChunk = 1447;
+  constexpr std::size_t kRecvChunk = 4093;
+  constexpr std::uint16_t kPort = 7210;
+  const std::vector<std::byte> data = pattern(kTotal, 4);
+  std::vector<std::byte> got(kTotal);
+  std::atomic<bool> ready{false};
+  const std::uint64_t sent0 = net_.stats().bytes_sent;
+
+  std::thread receiver([&] {
+    uk::Proc srv(kernel_, "stream-srv");
+    uk::Process& p = srv.process();
+    int lfd = static_cast<int>(net_.sys_socket(p));
+    ASSERT_EQ(net_.sys_bind(p, lfd, kPort), 0);
+    ASSERT_EQ(net_.sys_listen(p, lfd, 1), 0);
+    ready.store(true, std::memory_order_release);
+    int conn = static_cast<int>(net_.sys_accept(p, lfd));
+    ASSERT_GE(conn, 0);
+    std::size_t off = 0;
+    for (;;) {
+      std::size_t want = std::min(kRecvChunk, kTotal - off);
+      if (want == 0) want = 1;  // the last recv must see EOF
+      SysRet r = net_.sys_recv(p, conn, got.data() + off, want);
+      ASSERT_GE(r, 0);
+      if (r == 0) break;
+      off += static_cast<std::size_t>(r);
+      ASSERT_LE(off, kTotal);
+    }
+    EXPECT_EQ(off, kTotal);
+    srv.close(conn);
+    srv.close(lfd);
+  });
+
+  std::thread sender([&] {
+    uk::Proc cli(kernel_, "stream-cli");
+    uk::Process& p = cli.process();
+    while (!ready.load(std::memory_order_acquire)) std::this_thread::yield();
+    int fd = static_cast<int>(net_.sys_socket(p));
+    ASSERT_EQ(net_.sys_connect(p, fd, kPort), 0);
+    for (std::size_t off = 0; off < kTotal;) {
+      std::size_t n = std::min(kSendChunk, kTotal - off);
+      SysRet r = net_.sys_send(p, fd, data.data() + off, n);
+      ASSERT_GT(r, 0);
+      off += static_cast<std::size_t>(r);
+    }
+    EXPECT_EQ(net_.sys_shutdown(p, fd, kShutWr), 0);
+    cli.close(fd);
+  });
+
+  sender.join();
+  receiver.join();
+  EXPECT_TRUE(got == data);
+  EXPECT_EQ(net_.stats().bytes_sent - sent0, kTotal);
 }
 
 // Multi-threaded client/server stress: one epoll echo server, several
