@@ -21,9 +21,16 @@
 //     postmark-store-slowdown-x100 <= 110 (check_bench_json --expect-max)
 //
 // Usage: bench_storage [--quick]
+//
+// The backing images live in a per-run directory,
+// <tmp>/usk-bench_storage-<pid>/, removed on exit, so concurrent runs
+// never share an image.
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +46,30 @@ namespace {
 
 using JFs = fs::JournalFs<fs::RawPtrPolicy>;
 
+/// This run's image directory: created empty, removed with its contents.
+class RunDir {
+ public:
+  RunDir()
+      : dir_(std::filesystem::temp_directory_path() /
+             ("usk-bench_storage-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~RunDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+
+  [[nodiscard]] std::string path(const char* file) const {
+    return (dir_ / file).string();
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
+
 // --- S1a: group commit at 8 writers -------------------------------------------
 
 struct CommitOut {
@@ -48,8 +79,7 @@ struct CommitOut {
 };
 
 CommitOut run_commit(bool group, int threads, int txns_per_thread,
-                     const char* path) {
-  std::remove(path);
+                     const std::string& path) {
   store::StoreConfig cfg;
   cfg.data_blocks = 64;
   cfg.journal_blocks = 1024;
@@ -83,7 +113,6 @@ CommitOut run_commit(bool group, int threads, int txns_per_thread,
           ? double(threads) * txns_per_thread / out.elapsed
           : 0;
   st.close();
-  std::remove(path);
   return out;
 }
 
@@ -154,12 +183,13 @@ int main(int argc, char** argv) {
   using namespace usk;
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
   bench::JsonWriter json("bench_storage");
+  const RunDir dir;
 
   bench::print_title("S1a", "group commit: concurrent writers share one fsync");
   const int txns = quick ? 200 : 600;
   CommitOut per_upd = run_commit(false, 8, quick ? 25 : 60,
-                                 "bench_storage_perupd.img");
-  CommitOut grouped = run_commit(true, 8, txns, "bench_storage_group.img");
+                                 dir.path("perupd.img"));
+  CommitOut grouped = run_commit(true, 8, txns, dir.path("group.img"));
   std::printf("  %-28s %12s %16s\n", "config", "txns/sec", "txns per flush");
   std::printf("  %-28s %12.0f %16.2f\n", "per-update commit (8w)",
               per_upd.txns_per_sec, per_upd.txns_per_flush);
@@ -180,8 +210,7 @@ int main(int argc, char** argv) {
                           // dwarfs the store's real cost; alternating the
                           // two sides makes a load spike hit both, and the
                           // per-side min is the honest read
-  const char* img = "bench_storage_pm.img";
-  std::remove(img);
+  const std::string img = dir.path("pm.img");
 
   // Baseline: PR-4 in-memory journaling with the io cost model attached.
   // Fresh stack per rep -- run_postmark creates the pool from scratch.
@@ -195,7 +224,7 @@ int main(int argc, char** argv) {
   };
   // Store-attached: real image, real fsyncs, batched commits.
   auto store_rep = [&](bool report) -> double {
-    std::remove(img);
+    std::remove(img.c_str());
     blockdev::Disk disk(8192);
     blockdev::BufferCache cache(disk, 3072);
     store::StoreConfig cfg;
@@ -232,7 +261,6 @@ int main(int argc, char** argv) {
     if (base_s < 0 || b < base_s) base_s = b;
     if (store_s < 0 || s < store_s) store_s = s;
   }
-  std::remove(img);
   if (base_s <= 0 || store_s <= 0) {
     std::fprintf(stderr, "bench_storage: postmark run failed\n");
     return 1;

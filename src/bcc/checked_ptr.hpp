@@ -101,6 +101,14 @@ struct BccPtrPolicy {
     return checked_ptr<T>(reinterpret_cast<T*>(p.raw()), &rt, rt.make_site());
   }
 
+  /// Plain pointer to the `n` elements at `p`, for one bulk memcpy: the
+  /// whole range is bounds-checked once, as KGCC checks a memory copy.
+  template <typename T>
+  static T* raw_range(checked_ptr<T> p, std::size_t n) {
+    p.runtime()->check_access(p.raw(), n * sizeof(T), p.site());
+    return p.raw();
+  }
+
   static constexpr const char* kName = "kgcc";
 };
 

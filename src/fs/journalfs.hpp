@@ -14,7 +14,10 @@
 //   block bitmap : one byte per data block
 //   data blocks  : file contents + directory blocks (64-byte dirents)
 //   journal      : circular log; every metadata update appends a record
-//                  containing a copy of the touched block
+//                  containing a copy of the touched block (store-less
+//                  mode; with a store attached the update only marks its
+//                  target dirty, and the commit journals each dirty
+//                  target's post-image once -- see attach_store)
 //
 // Files use 12 direct block pointers plus one single-indirect block,
 // giving a max file size of 12*4K + 1024*4K = 4.2 MB, plenty for the
@@ -22,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -55,6 +59,11 @@ struct RawPtrPolicy {
   template <typename T>
   static T* cast_bytes(std::uint8_t* p, std::size_t /*n*/) {
     return reinterpret_cast<T*>(p);
+  }
+  /// Plain pointer to the `n` elements at `p`, for one bulk memcpy.
+  template <typename T>
+  static T* raw_range(T* p, std::size_t /*n*/) {
+    return p;
   }
   static constexpr const char* kName = "raw";
 };
@@ -437,10 +446,19 @@ class JournalFs final : public FileSystem {
   // --- persistent store attachment (PR-8) -------------------------------------
   /// Attach the persistent storage tier: `cache` becomes the page cache
   /// over the store's backing image (the store wires itself in as the
-  /// cache's data plane), every transaction's redo records flow into the
-  /// store's group-commit journal, and post-images are written to their
-  /// home locations in the image AFTER the commit unit is durable (redo
+  /// cache's data plane), and post-images are written to their home
+  /// locations in the image AFTER the commit unit is durable (redo
   /// journaling: background writeback can never push uncommitted state).
+  ///
+  /// Journaling in store mode: an update only adds its target (block,
+  /// inode or bitmap entry) to an insertion-ordered, de-duplicated dirty
+  /// set. At the commit boundary (fsync, sync, commit interval, journal
+  /// margin -- always between transactions) store_commit() writes ONE
+  /// redo record per dirty target, its post-image copied from the live
+  /// arrays, as one group-commit unit. The set is cleared only once the
+  /// unit is durable and its home writes are applied, so a failed commit
+  /// leaves its whole batch to ride the next one. The in-memory journal
+  /// strip (and kfail's disk.torn) belongs to store-less crash-sim only.
   ///
   /// Data-region layout (cache LBA == store data-region block):
   ///   [0, IT)            inode table (DiskInode array, packed)
@@ -457,6 +475,7 @@ class JournalFs final : public FileSystem {
     store_ = s;
     io_ = cache;
     s->attach_cache(cache);
+    dirty_kinds_.assign(std::max(max_inodes_, data_blocks_) + 1, 0);
     if (!crash_sim_) enable_crash_sim();
     // Fresh vs existing image: the root inode's home bytes decide.
     std::vector<std::uint8_t> blk(kBlockSize);
@@ -505,10 +524,13 @@ class JournalFs final : public FileSystem {
   /// valid commit marker terminates it; the first torn record ends the
   /// usable log (everything after it is discarded), exactly the contract
   /// of a physical redo journal. The recovered state becomes the new
-  /// stable image. Requires enable_crash_sim().
+  /// stable image. Requires enable_crash_sim(). With a store attached the
+  /// strip is not kept -- the image-level crash (BackingImage::
+  /// simulate_crash + remount) is the one that applies -- so this returns
+  /// an empty report and leaves live state alone.
   CrashReport simulate_crash() {
     CrashReport rep;
-    if (!crash_sim_ || !stable_valid_) return rep;
+    if (!crash_sim_ || !stable_valid_ || store_ != nullptr) return rep;
     // The journal strip survives the crash; copy it out before reverting.
     std::size_t nrec = std::min(journal_head_, journal_slots_);
     std::vector<JournalRecord> log(nrec);
@@ -705,10 +727,9 @@ class JournalFs final : public FileSystem {
     return io_->read(lba % io_->disk().size());
   }
   void io_touch_journal(std::size_t slot) {
-    // Store mode: journal appends go through the store's group-commit
-    // journal (real image writes); the LBA-strip pricing would double-
-    // charge them.
-    if (io_ == nullptr || store_ != nullptr) return;
+    // Store-less only: in store mode the strip is not written, and the
+    // store's group-commit journal pays for the real image writes.
+    if (io_ == nullptr) return;
     // Journal-strip write errors are absorbed: in this model the journal
     // only prices the sequential append; a lost record shows up at
     // recovery as a torn/short log, which replay already tolerates.
@@ -971,17 +992,36 @@ class JournalFs final : public FileSystem {
     ++journal_head_;
   }
 
+  /// Store mode: the update takes its sequence number and log slot without
+  /// filling the strip, so the commit-interval and journal-margin
+  /// triggers fire exactly where they do in store-less crash-sim.
+  void claim_slot() {
+    ++journal_seq_;
+    ++journal_head_;
+  }
+
+  /// Store mode: `target`'s post-image must ride the next commit unit.
+  /// A target already in the set keeps its place; the commit copies
+  /// whatever the live arrays hold then.
+  void note_dirty(JRecKind kind, std::uint32_t target) {
+    claim_slot();
+    const auto bit = static_cast<std::uint8_t>(1u << static_cast<unsigned>(kind));
+    if ((dirty_kinds_[target] & bit) != 0) return;
+    dirty_kinds_[target] |= bit;
+    dirty_.push_back(DirtyTarget{kind, target});
+  }
+
   /// Append a copy of data block `blk` to the journal (byte loop through
   /// policy pointers: this is the KGCC hot path).
   void journal_block(std::uint32_t blk) {
-    JournalRecord& rec = next_record(JRecKind::kBlock, blk, kBlockSize);
-    Ptr<std::uint8_t> src = data_ + (blk - 1) * kBlockSize;
-    for (std::size_t i = 0; i < kBlockSize; ++i) rec.payload[i] = src[i];
-    // The store gets the CLEAN post-image (before kfail's disk.torn can
-    // mutate the in-memory record): media tears are the store's own
-    // fault sites' job.
-    store_append(rec);
-    seal_record(rec);
+    if (store_ != nullptr) {
+      note_dirty(JRecKind::kBlock, blk);
+    } else {
+      JournalRecord& rec = next_record(JRecKind::kBlock, blk, kBlockSize);
+      Ptr<std::uint8_t> src = data_ + (blk - 1) * kBlockSize;
+      for (std::size_t i = 0; i < kBlockSize; ++i) rec.payload[i] = src[i];
+      seal_record(rec);
+    }
     ++jstats_.journal_records;
     txn_dirty_ = true;
     charge(journal_cost_);
@@ -998,13 +1038,17 @@ class JournalFs final : public FileSystem {
 
   /// Journal an inode update (the inode table region).
   void journal_inode(InodeNum ino) {
-    JournalRecord& rec = next_record(JRecKind::kInode, static_cast<std::uint32_t>(ino),
-                                     static_cast<std::uint32_t>(sizeof(DiskInode)));
-    const DiskInode& n = inodes_[ino - 1];
-    const auto* src = reinterpret_cast<const std::uint8_t*>(&n);
-    for (std::size_t i = 0; i < sizeof(DiskInode); ++i) rec.payload[i] = src[i];
-    store_append(rec);
-    seal_record(rec);
+    if (store_ != nullptr) {
+      note_dirty(JRecKind::kInode, static_cast<std::uint32_t>(ino));
+    } else {
+      JournalRecord& rec =
+          next_record(JRecKind::kInode, static_cast<std::uint32_t>(ino),
+                      static_cast<std::uint32_t>(sizeof(DiskInode)));
+      const DiskInode& n = inodes_[ino - 1];
+      const auto* src = reinterpret_cast<const std::uint8_t*>(&n);
+      for (std::size_t i = 0; i < sizeof(DiskInode); ++i) rec.payload[i] = src[i];
+      seal_record(rec);
+    }
     ++jstats_.journal_records;
     txn_dirty_ = true;
   }
@@ -1013,19 +1057,26 @@ class JournalFs final : public FileSystem {
   /// replay or recovered inodes would point into "free" blocks).
   void journal_bitmap(std::uint32_t blk, std::uint8_t used) {
     if (!crash_sim_) return;
-    JournalRecord& rec = next_record(JRecKind::kBitmap, blk, 1);
-    rec.payload[0] = used;
-    store_append(rec);
-    seal_record(rec);
+    if (store_ != nullptr) {
+      note_dirty(JRecKind::kBitmap, blk);
+    } else {
+      JournalRecord& rec = next_record(JRecKind::kBitmap, blk, 1);
+      rec.payload[0] = used;
+      seal_record(rec);
+    }
     txn_dirty_ = true;
   }
 
   /// Outermost mutation scope exit (crash-sim): append the commit marker
-  /// and run any deferred checkpoint.
+  /// and run any deferred checkpoint. In store mode the unit's header is
+  /// the marker; the transaction still takes the marker's slot.
   void end_txn() {
     if (!txn_dirty_) return;
-    JournalRecord& rec = next_record(JRecKind::kCommit, 0, 0);
-    seal_record(rec);
+    if (store_ != nullptr) {
+      claim_slot();
+    } else {
+      seal_record(next_record(JRecKind::kCommit, 0, 0));
+    }
     ++jstats_.commit_markers;
     txn_dirty_ = false;
     if (commit_pending_ || journal_head_ + kJournalMargin >= journal_slots_) {
@@ -1071,15 +1122,7 @@ class JournalFs final : public FileSystem {
     return fsdata_base() + data_blocks_;
   }
 
-  /// Feed a (clean) redo record into the running store transaction and
-  /// note which home blocks its post-image dirties. The batch commits at
-  /// sync()/fsync()/commit-interval boundaries, never per record.
-  void store_append(const JournalRecord& rec) {
-    if (store_ == nullptr) return;
-    store_txn_.append(rec.kind, rec.target, rec.payload, rec.len);
-    mark_home(static_cast<JRecKind>(rec.kind), rec.target);
-  }
-
+  /// Note which home blocks a (kind, target) post-image dirties.
   void mark_home(JRecKind kind, std::uint32_t target) {
     switch (kind) {
       case JRecKind::kBlock:
@@ -1101,31 +1144,64 @@ class JournalFs final : public FileSystem {
     }
   }
 
-  /// Commit the accumulated batch to the store's group-commit journal,
-  /// then (inside the store's checkpoint exclusion) apply the home-
+  /// Commit the dirty set to the store's group-commit journal as one
+  /// unit, then (inside the store's checkpoint exclusion) apply the home-
   /// location post-images to the page cache. Redo ordering: home blocks
   /// are dirtied only AFTER the commit unit is durable, so background
-  /// writeback can never push uncommitted state into the image.
+  /// writeback can never push uncommitted state into the image. On any
+  /// failure the dirty set stays whole and the next commit carries it.
   Result<void> store_commit() {
     if (store_ == nullptr) return {};
-    if (store_txn_.empty()) {
-      // Nothing journaled since the last commit; retry any home writes a
-      // previous commit failed to apply.
+    // Captures happen only between transactions: the unit then holds a
+    // consistent post-image of every target, one record each.
+    assert(txn_depth_ == 0);
+    if (dirty_.empty()) return {};
+    Result<std::uint64_t> r = store_->commit_txn(capture_dirty(), [this] {
+      for (const DirtyTarget& d : dirty_) mark_home(d.kind, d.target);
       return flush_home_writes();
-    }
-    Result<std::uint64_t> r = store_->commit_txn(
-        std::move(store_txn_), [this] { return flush_home_writes(); });
-    store_txn_ = store::JTxn{};
+    });
     if (!r.ok()) return r.error();
+    for (const DirtyTarget& d : dirty_) dirty_kinds_[d.target] = 0;
+    dirty_.clear();
     ++jstats_.store_commits;
     return {};
+  }
+
+  /// The redo batch: one record per dirty target, in first-touch order,
+  /// its post-image copied from the live arrays.
+  store::JTxn capture_dirty() {
+    store::JTxn txn;
+    txn.records.reserve(dirty_.size());
+    for (const DirtyTarget& d : dirty_) {
+      const auto kind = static_cast<std::uint8_t>(d.kind);
+      switch (d.kind) {
+        case JRecKind::kBlock:
+          txn.append(kind, d.target,
+                     Policy::raw_range(data_ + (d.target - 1) * kBlockSize,
+                                       kBlockSize),
+                     kBlockSize);
+          break;
+        case JRecKind::kInode: {
+          const DiskInode n = inodes_[d.target - 1];
+          txn.append(kind, d.target, &n, sizeof(DiskInode));
+          break;
+        }
+        case JRecKind::kBitmap: {
+          const std::uint8_t used = bitmap_[d.target - 1];
+          txn.append(kind, d.target, &used, 1);
+          break;
+        }
+        case JRecKind::kCommit:
+          break;
+      }
+    }
+    return txn;
   }
 
   /// Write every pending home block's CURRENT content (the live arrays
   /// equal the post-commit state: everything in the batch just committed
   /// together) into the page cache. A failed write keeps the remaining
-  /// blocks pending for the next commit; the journal still holds their
-  /// records until a later checkpoint succeeds.
+  /// blocks pending, and the dirty set whole, for the next commit.
   Result<void> flush_home_writes() {
     if (pending_home_.empty()) return {};
     std::vector<std::uint8_t> buf(kBlockSize);
@@ -1143,38 +1219,26 @@ class JournalFs final : public FileSystem {
   }
 
   /// Reconstruct the authoritative content of home block `lba` from the
-  /// live arrays (byte-wise through the policy pointers: inodes straddle
-  /// block boundaries, so whole blocks are rebuilt, not records copied).
+  /// live arrays. Inodes straddle block boundaries, so whole blocks are
+  /// rebuilt: one memcpy of the packed range, the rest zero.
   void rebuild_home_block(std::size_t lba, std::uint8_t* out) {
-    std::memset(out, 0, kBlockSize);
+    std::size_t n = kBlockSize;
     if (lba < inode_table_blocks()) {
       const std::size_t lo = lba * kBlockSize;
-      const std::size_t hi = lo + kBlockSize;
-      const std::size_t table_bytes = max_inodes_ * sizeof(DiskInode);
-      for (std::size_t k = lo / sizeof(DiskInode);
-           k < max_inodes_ && k * sizeof(DiskInode) < hi; ++k) {
-        const DiskInode tmp = inodes_[k];
-        const auto* src = reinterpret_cast<const std::uint8_t*>(&tmp);
-        const std::size_t base = k * sizeof(DiskInode);
-        for (std::size_t i = 0; i < sizeof(DiskInode); ++i) {
-          const std::size_t off = base + i;
-          if (off >= lo && off < hi && off < table_bytes) {
-            out[off - lo] = src[i];
-          }
-        }
-      }
-      return;
-    }
-    if (lba < fsdata_base()) {
+      n = std::min(kBlockSize, max_inodes_ * sizeof(DiskInode) - lo);
+      const auto* table = reinterpret_cast<const std::uint8_t*>(
+          Policy::raw_range(inodes_, max_inodes_));
+      std::memcpy(out, table + lo, n);
+    } else if (lba < fsdata_base()) {
       const std::size_t lo = (lba - inode_table_blocks()) * kBlockSize;
-      if (lo >= data_blocks_) return;
-      const std::size_t n = std::min(kBlockSize, data_blocks_ - lo);
-      for (std::size_t i = 0; i < n; ++i) out[i] = bitmap_[lo + i];
-      return;
+      n = lo < data_blocks_ ? std::min(kBlockSize, data_blocks_ - lo) : 0;
+      if (n != 0) std::memcpy(out, Policy::raw_range(bitmap_ + lo, n), n);
+    } else {
+      const std::size_t blk = lba - fsdata_base();  // 0-based fs data block
+      std::memcpy(out, Policy::raw_range(data_ + blk * kBlockSize, kBlockSize),
+                  kBlockSize);
     }
-    const std::size_t blk = lba - fsdata_base();  // 0-based fs data block
-    Ptr<std::uint8_t> src = data_ + blk * kBlockSize;
-    for (std::size_t i = 0; i < kBlockSize; ++i) out[i] = src[i];
+    std::memset(out + n, 0, kBlockSize - n);
   }
 
   /// Replay one recovered journal record into the live arrays (the store
@@ -1365,7 +1429,14 @@ class JournalFs final : public FileSystem {
   blockdev::BufferCache* io_ = nullptr;
   // --- persistent store state (PR-8) ---
   store::Store* store_ = nullptr;
-  store::JTxn store_txn_{};          ///< redo batch since the last commit
+  struct DirtyTarget {
+    JRecKind kind;
+    std::uint32_t target;
+  };
+  std::vector<DirtyTarget> dirty_;  ///< targets to journal, first-touch order
+  /// Per target number: bit (1 << kind) set while (kind, target) is in
+  /// dirty_ -- the de-duplication index.
+  std::vector<std::uint8_t> dirty_kinds_;
   std::set<std::size_t> pending_home_;  ///< home LBAs the batch dirties
   store::Store::RecoveryReport last_recovery_{};
 };

@@ -139,6 +139,7 @@ Result<std::uint64_t> GroupCommitJournal::commit(JTxn&& txn) {
         // store checkpoints (reclaiming the region) and retries.
         for (PendingTxn& t : batch) {
           t.res->err = Errno::kENOSPC;
+          t.res->returned = std::move(t.records);
           t.res->done = true;
         }
         flushing_ = false;
@@ -188,6 +189,7 @@ Result<std::uint64_t> GroupCommitJournal::commit(JTxn&& txn) {
       lk.lock();
     }
   }
+  if (res->err == Errno::kENOSPC) txn.records = std::move(res->returned);
   if (res->err != Errno::kOk) return res->err;
   return res->seq;
 }
@@ -204,7 +206,10 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
       ++n_records;
     }
   }
-  std::vector<std::uint8_t> buf(sizeof(CommitHeader) + payload_bytes, 0);
+  // Every byte is written below (the header last, record padding
+  // explicitly), so the buffer is not zero-filled first.
+  auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(
+      sizeof(CommitHeader) + payload_bytes);
   std::uint64_t off = sizeof(CommitHeader);
   std::uint64_t first_rec_seq = rec_seq_ + 1;
   for (const PendingTxn& t : batch) {
@@ -214,9 +219,11 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
       rh.target = r.target;
       rh.len = static_cast<std::uint32_t>(r.payload.size());
       rh.kind = r.kind;
-      std::memcpy(buf.data() + off, &rh, sizeof(rh));
-      std::memcpy(buf.data() + off + sizeof(rh), r.payload.data(),
-                  r.payload.size());
+      std::uint8_t* p = buf.get() + off;
+      std::memcpy(p, &rh, sizeof(rh));
+      std::memcpy(p + sizeof(rh), r.payload.data(), r.payload.size());
+      std::memset(p + sizeof(rh) + r.payload.size(), 0,
+                  align8(r.payload.size()) - r.payload.size());
       off += serialized_record_bytes(r);
       ++rec_seq_;
     }
@@ -229,15 +236,15 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
   h.n_txns = static_cast<std::uint32_t>(batch.size());
   h.payload_bytes = payload_bytes;
   h.payload_checksum =
-      fnv1a_mix(kFnvBasis, buf.data() + sizeof(CommitHeader), payload_bytes);
+      fnv1a_mix(kFnvBasis, buf.get() + sizeof(CommitHeader), payload_bytes);
   h.header_checksum = header_checksum(h);
-  std::memcpy(buf.data(), &h, sizeof(h));
+  std::memcpy(buf.get(), &h, sizeof(h));
 
   const std::uint64_t base = region_off_ + tail;
   // Records first. The header is the unit's validity bit: until it is on
   // the medium, the records are garbage to recovery.
   USK_TRY(img_.write_bytes(base + sizeof(CommitHeader),
-                           buf.data() + sizeof(CommitHeader), payload_bytes));
+                           buf.get() + sizeof(CommitHeader), payload_bytes));
   if (auto f = USK_FAIL_POINT(fault::Site::kStoreTornHeader);
       f.fail || f.transient) {
     // Torn commit header: only the first half reaches the medium. Like
@@ -245,7 +252,7 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
     // damage only shows at recovery, where the unit (and everything
     // after it) is discarded: committed-prefix semantics.
     ++stats_.torn_headers;
-    USK_TRY(img_.write_bytes(base, buf.data(), sizeof(CommitHeader) / 2));
+    USK_TRY(img_.write_bytes(base, buf.get(), sizeof(CommitHeader) / 2));
     if (f.fail) {
       USK_TRY(img_.flush());
       USK_TRACEPOINT("store", "torn_commit_header", h.unit_seq, tail);
@@ -253,7 +260,7 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
     }
     // Transient: the retry rewrites the full header below.
   }
-  USK_TRY(img_.write_bytes(base, buf.data(), sizeof(CommitHeader)));
+  USK_TRY(img_.write_bytes(base, buf.get(), sizeof(CommitHeader)));
   // The single ordered flush the whole batch shares.
   USK_TRY(img_.flush());
   USK_TRACEPOINT("store", "commit_unit", h.unit_seq, n_records);

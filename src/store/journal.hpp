@@ -105,8 +105,9 @@ class GroupCommitJournal {
 
   /// Commit a closed transaction; blocks until its records are durable
   /// (or the whole batch failed). Returns the commit unit's seq.
-  /// kENOSPC: the transaction cannot fit in the remaining region -- the
-  /// caller must checkpoint (reset_tail) and retry.
+  /// kENOSPC: the transaction cannot fit in the remaining region -- its
+  /// records are handed back in `txn`, and the caller must checkpoint
+  /// (reset_tail) and retry with it.
   [[nodiscard]] Result<std::uint64_t> commit(JTxn&& txn);
 
   /// Bytes consumed in the region (next unit starts here).
@@ -150,6 +151,7 @@ class GroupCommitJournal {
     bool done = false;
     Errno err = Errno::kOk;
     std::uint64_t seq = 0;
+    std::vector<JRecord> returned;  ///< the records, back on kENOSPC
   };
   struct PendingTxn {
     std::vector<JRecord> records;

@@ -112,9 +112,6 @@ Result<std::uint64_t> Store::commit_txn(
   if (journal_ == nullptr) return Errno::kEBADF;
   if (txn.empty()) return journal_->durable_seq();
   trace::SpanScope span("store.commit");
-  // Keep the records so an ENOSPC round-trip through checkpoint can
-  // rebuild and retry the transaction.
-  const std::vector<JRecord> backup = txn.records;
   const std::uint64_t need = GroupCommitJournal::unit_bytes(txn);
   for (int attempt = 0; attempt < 3; ++attempt) {
     // Proactive reclaim: checkpoint before the region is actually full
@@ -129,6 +126,7 @@ Result<std::uint64_t> Store::commit_txn(
       // post-commit home application) is in flight the journal tail
       // cannot be reset under it.
       std::shared_lock sl(apply_mu_);
+      // On ENOSPC the journal hands the records back in `txn`.
       r = journal_->commit(std::move(txn));
       if (r.ok() && post_commit) USK_TRY(post_commit());
     }
@@ -139,7 +137,6 @@ Result<std::uint64_t> Store::commit_txn(
     if (r.error() != Errno::kENOSPC) return r.error();
     ++stats_.enospc_retries;
     USK_TRY(checkpoint());
-    txn.records = backup;
   }
   return Errno::kENOSPC;
 }

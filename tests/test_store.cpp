@@ -2,7 +2,8 @@
 // and mode parity, buffer-cache LRU/writeback/data-plane behaviour,
 // group-commit amortization, ENOSPC auto-checkpoint, dual-slot superblock
 // survival, committed-prefix recovery, the store.* kfail sites, the
-// JournalFs<->Store bridge (format/restore round trip), supervisor
+// JournalFs<->Store bridge (format/restore round trip, failed-commit
+// carry-over, replay equivalence, one record per dirty target), supervisor
 // dirty-page budgets through the cache's dirty gate, and the
 // /proc/blockdev/cache + /proc/store/** renderers.
 //
@@ -15,10 +16,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/rng.hpp"
+#include "bcc/checked_ptr.hpp"
 #include "blockdev/buffer_cache.hpp"
 #include "blockdev/disk.hpp"
 #include "fault/kfail.hpp"
@@ -576,6 +581,324 @@ TEST_F(StoreTest, JournalFsSurvivesRemountFromBackingImage) {
                                                       : fsck.problems[0]);
     st.close();
   }
+}
+
+/// A store-attached JournalFs over the image at `path` (fresh or
+/// existing): the remount test's geometry, with a small commit interval
+/// so interval commits land between fsyncs too.
+struct JfsStack {
+  using JFs = fs::JournalFs<fs::RawPtrPolicy>;
+
+  explicit JfsStack(const std::string& path) {
+    StoreConfig cfg;
+    cfg.data_blocks = 192;  // inode table (2) + bitmap (1) + 128 fs blocks
+    cfg.journal_blocks = 64;
+    ok = st.open(path, cfg).ok() && jfs.attach_store(&st, &cache).ok();
+  }
+  ~JfsStack() { st.close(); }
+
+  /// kill -9 at the end of the image's write log: every write the store
+  /// issued survives, every dirty cached block is lost.
+  [[nodiscard]] bool crash_at_log_end() {
+    return st.image().simulate_crash(st.image().pending_writes(), 0).ok();
+  }
+
+  blockdev::Disk disk{4096};
+  blockdev::BufferCache cache{disk, 256};
+  Store st;
+  JFs jfs{64, 128, 512, 8};
+  bool ok = false;
+};
+
+std::vector<std::byte> body_of(std::uint64_t tag, std::size_t n) {
+  std::vector<std::byte> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::byte>((tag * 131 + i * 7) & 0xff);
+  }
+  return b;
+}
+
+/// Every path in the tree -> type, nlink and (files) the whole content.
+using TreeImage = std::map<std::string, std::string>;
+TreeImage tree_image(JfsStack::JFs& jfs) {
+  TreeImage out;
+  std::function<void(fs::InodeNum, const std::string&)> walk =
+      [&](fs::InodeNum dir, const std::string& prefix) {
+        auto ents = jfs.readdir(dir);
+        if (!ents.ok()) return;
+        for (const fs::DirEntry& e : ents.value()) {
+          const std::string path = prefix + "/" + e.name;
+          fs::StatBuf sb{};
+          if (!jfs.getattr(e.ino, &sb).ok()) {
+            out[path] = "dangling";
+            continue;
+          }
+          std::string v = (sb.type == fs::FileType::kDirectory ? "d" : "f") +
+                          std::to_string(sb.nlink) + ":";
+          if (sb.type == fs::FileType::kDirectory) {
+            out[path] = v;
+            walk(e.ino, path);
+            continue;
+          }
+          std::vector<std::byte> body(sb.size);
+          auto r = jfs.read(e.ino, 0, body);
+          v.append(reinterpret_cast<const char*>(body.data()),
+                   r.ok() ? r.value() : 0);
+          out[path] = v;
+        }
+      };
+  walk(jfs.root(), "");
+  return out;
+}
+
+// A commit whose unit never became durable must not lose its redo
+// records: the batch rides the next commit, so c's unit also carries b's
+// inode and data, not only the directory block that names b.
+TEST_F(StoreTest, FailedStoreCommitKeepsItsBatchForTheNextCommit) {
+  const std::string path = img("ts_failed_commit.img");
+  const std::vector<std::byte> a = body_of(1, 700), b = body_of(2, 5000),
+                               c = body_of(3, 1300);
+  {
+    JfsStack s(path);
+    ASSERT_TRUE(s.ok);
+    s.st.image().enable_crash_capture();
+    auto& jfs = s.jfs;
+    auto fa = jfs.create(jfs.root(), "a", fs::FileType::kRegular, 0644);
+    ASSERT_TRUE(fa.ok());
+    ASSERT_TRUE(jfs.write(fa.value(), 0, a).ok());
+    ASSERT_TRUE(jfs.fsync(fa.value(), false).ok());
+
+    fault::SiteConfig fail_next;
+    fail_next.nth = 1;
+    fault::kfail().arm(fault::Site::kStoreFsyncFail, fail_next);
+    auto fb = jfs.create(jfs.root(), "b", fs::FileType::kRegular, 0644);
+    ASSERT_TRUE(fb.ok());
+    ASSERT_TRUE(jfs.write(fb.value(), 0, b).ok());
+    Result<void> rb = jfs.fsync(fb.value(), false);
+    ASSERT_FALSE(rb.ok());
+    EXPECT_EQ(rb.error(), Errno::kEIO);
+    fault::kfail().disarm_all();
+
+    auto fc = jfs.create(jfs.root(), "c", fs::FileType::kRegular, 0644);
+    ASSERT_TRUE(fc.ok());
+    ASSERT_TRUE(jfs.write(fc.value(), 0, c).ok());
+    ASSERT_TRUE(jfs.fsync(fc.value(), false).ok());
+    ASSERT_TRUE(s.crash_at_log_end());
+  }
+  JfsStack s(path);
+  ASSERT_TRUE(s.ok);
+  auto fsck = s.jfs.fsck();
+  EXPECT_TRUE(fsck.clean) << (fsck.problems.empty() ? "" : fsck.problems[0]);
+  for (const auto& [name, want] :
+       {std::pair{"a", a}, std::pair{"b", b}, std::pair{"c", c}}) {
+    auto ino = s.jfs.lookup(s.jfs.root(), name);
+    ASSERT_TRUE(ino.ok()) << name << " lost";
+    std::vector<std::byte> got(want.size());
+    auto r = s.jfs.read(ino.value(), 0, got);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), want.size()) << name;
+    EXPECT_EQ(got, want) << name << " corrupted";
+  }
+}
+
+// Replay equivalence: seeded create/write/append/unlink/rename/mkdir
+// sequences with fsyncs at seeded points; a crash at the end of the
+// image's write log must recover exactly the tree the live filesystem
+// had at its last durable commit (every fsync is one; interval commits
+// between fsyncs are others).
+TEST_F(StoreTest, StoreReplayRecoversTheTreeOfTheLastCommit) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::string path = img("ts_replay_" + std::to_string(seed) + ".img");
+    base::Rng rng(seed * 0x9E3779B97F4A7C15ull);
+    TreeImage durable;
+    {
+      JfsStack s(path);
+      ASSERT_TRUE(s.ok);
+      s.st.image().enable_crash_capture();
+      auto& jfs = s.jfs;
+      struct FileRef {
+        fs::InodeNum dir;
+        std::string name;
+        fs::InodeNum ino;
+      };
+      std::vector<FileRef> files;
+      std::vector<fs::InodeNum> dirs{jfs.root()};
+      std::uint64_t serial = 0;
+      durable = tree_image(jfs);
+      std::uint64_t commits = jfs.jstats().store_commits;
+      for (int op = 0; op < 160; ++op) {
+        const std::string fresh = std::to_string(++serial);
+        switch (rng.below(files.empty() ? 2 : 7)) {
+          case 0: {  // create
+            const fs::InodeNum d = dirs[rng.below(dirs.size())];
+            auto ino = jfs.create(d, "f" + fresh, fs::FileType::kRegular, 0644);
+            if (ino.ok()) files.push_back({d, "f" + fresh, ino.value()});
+            break;
+          }
+          case 1: {  // mkdir
+            if (dirs.size() >= 6) break;
+            const fs::InodeNum d = dirs[rng.below(dirs.size())];
+            auto ino = jfs.create(d, "d" + fresh, fs::FileType::kDirectory, 0755);
+            if (ino.ok()) dirs.push_back(ino.value());
+            break;
+          }
+          case 2:
+          case 3: {  // write at a seeded offset (holes, overwrites, growth)
+            const FileRef& f = files[rng.below(files.size())];
+            (void)jfs.write(f.ino, rng.below(9000),
+                            body_of(serial, 1 + rng.below(3000)));
+            break;
+          }
+          case 4: {  // append
+            const FileRef& f = files[rng.below(files.size())];
+            fs::StatBuf sb{};
+            if (jfs.getattr(f.ino, &sb).ok() && sb.size < 12000) {
+              (void)jfs.write(f.ino, sb.size, body_of(serial, 1 + rng.below(2000)));
+            }
+            break;
+          }
+          case 5: {  // unlink
+            const std::size_t k = rng.below(files.size());
+            if (jfs.unlink(files[k].dir, files[k].name).ok()) {
+              files.erase(files.begin() + static_cast<std::ptrdiff_t>(k));
+            }
+            break;
+          }
+          default: {  // rename, possibly across directories
+            FileRef& f = files[rng.below(files.size())];
+            const fs::InodeNum d = dirs[rng.below(dirs.size())];
+            if (jfs.rename(f.dir, f.name, d, "r" + fresh).ok()) {
+              f.dir = d;
+              f.name = "r" + fresh;
+            }
+            break;
+          }
+        }
+        if (rng.chance(1, 6)) {
+          ASSERT_TRUE(jfs.fsync(jfs.root(), false).ok()) << "seed " << seed;
+        }
+        if (jfs.jstats().store_commits != commits) {
+          commits = jfs.jstats().store_commits;
+          durable = tree_image(jfs);
+        }
+      }
+      ASSERT_GT(commits, 1u) << "seed " << seed;
+      ASSERT_TRUE(s.crash_at_log_end());
+    }
+    JfsStack s(path);
+    ASSERT_TRUE(s.ok) << "seed " << seed;
+    auto fsck = s.jfs.fsck();
+    ASSERT_TRUE(fsck.clean) << "seed " << seed << ": "
+                            << (fsck.problems.empty() ? "" : fsck.problems[0]);
+    ASSERT_EQ(tree_image(s.jfs), durable) << "seed " << seed;
+  }
+}
+
+// One fsync after 16 unlinks from one directory block journals that
+// block's post-image once, not once per unlink: the unit holds the
+// directory block, the directory inode and the 16 victims' inodes.
+TEST_F(StoreTest, FsyncJournalsEachDirtyTargetOnce) {
+  JfsStack s(img("ts_dedup.img"));
+  ASSERT_TRUE(s.ok);
+  auto& jfs = s.jfs;
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(jfs.create(jfs.root(), "m" + std::to_string(i),
+                           fs::FileType::kRegular, 0644)
+                    .ok());
+  }
+  ASSERT_TRUE(jfs.fsync(jfs.root(), false).ok());
+  const store::JournalStats before = s.st.journal()->stats();
+  const std::uint64_t updates_before = jfs.jstats().journal_records;
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(jfs.unlink(jfs.root(), "m" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(jfs.fsync(jfs.root(), false).ok());
+  const store::JournalStats after = s.st.journal()->stats();
+  EXPECT_EQ(after.commit_units - before.commit_units, 1u);
+  EXPECT_EQ(after.records_written - before.records_written, 1u + 1u + 16u);
+  // The journal still counts every update: per unlink the dirent block,
+  // the directory inode and the victim's inode.
+  EXPECT_EQ(jfs.jstats().journal_records - updates_before, 16u * 3u);
+}
+
+// The KGCC build in store mode: the commit's memcpy captures and home
+// rebuilds go through BccPtrPolicy::raw_range, one bounds check per
+// copied range, and correct filesystem code trips none of them.
+TEST_F(StoreTest, CheckedPolicyStoreModeRemountsWithoutBoundsErrors) {
+  using KJFs = fs::JournalFs<bcc::BccPtrPolicy>;
+  const std::string path = img("ts_kgcc.img");
+  StoreConfig cfg;
+  cfg.data_blocks = 192;
+  cfg.journal_blocks = 64;
+  bcc::Runtime& rt = bcc::Runtime::instance();
+  rt.clear_errors();
+  const std::uint64_t checks_before = rt.stats().checks;
+  const std::vector<std::byte> body = body_of(5, 9000);
+  {
+    blockdev::Disk disk(4096);
+    blockdev::BufferCache cache(disk, 256);
+    Store st;
+    ASSERT_TRUE(st.open(path, cfg).ok());
+    KJFs jfs(64, 128, 512, 8);
+    ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+    auto ino = jfs.create(jfs.root(), "checked", fs::FileType::kRegular, 0644);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(jfs.write(ino.value(), 0, body).ok());
+    ASSERT_TRUE(jfs.fsync(ino.value(), false).ok());
+    st.close();  // no unmount checkpoint: remount replays the unit
+  }
+  blockdev::Disk disk(4096);
+  blockdev::BufferCache cache(disk, 256);
+  Store st;
+  ASSERT_TRUE(st.open(path, cfg).ok());
+  KJFs jfs(64, 128, 512, 8);
+  ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+  EXPECT_GT(jfs.last_recovery().scan.units_applied, 0u);
+  auto ino = jfs.lookup(jfs.root(), "checked");
+  ASSERT_TRUE(ino.ok());
+  std::vector<std::byte> got(body.size());
+  ASSERT_TRUE(jfs.read(ino.value(), 0, got).ok());
+  EXPECT_EQ(got, body);
+  EXPECT_TRUE(jfs.fsck().clean);
+  EXPECT_GT(rt.stats().checks, checks_before);
+  EXPECT_TRUE(rt.errors().empty());
+  st.close();
+}
+
+// The strip crash (JournalFs::simulate_crash) is store-less only: with a
+// store attached the image-level crash applies, so it reports nothing
+// and leaves live state alone -- even when a store-less stable snapshot
+// exists from before the store was attached.
+TEST_F(StoreTest, StripCrashIsANoOpWithAStoreAttached) {
+  const std::string path = img("ts_strip_crash.img");
+  blockdev::Disk disk(4096);
+  blockdev::BufferCache cache(disk, 256);
+  StoreConfig cfg;
+  cfg.data_blocks = 192;
+  cfg.journal_blocks = 64;
+  Store st;
+  ASSERT_TRUE(st.open(path, cfg).ok());
+  fs::JournalFs<fs::RawPtrPolicy> jfs(64, 128, 512, 8);
+  jfs.enable_crash_sim();  // a store-less stable snapshot: the empty root
+  ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+  const std::vector<std::byte> body = body_of(9, 6000);
+  auto synced = jfs.create(jfs.root(), "synced", fs::FileType::kRegular, 0644);
+  ASSERT_TRUE(synced.ok());
+  ASSERT_TRUE(jfs.write(synced.value(), 0, body).ok());
+  ASSERT_TRUE(jfs.fsync(synced.value(), false).ok());
+  auto open = jfs.create(jfs.root(), "open", fs::FileType::kRegular, 0644);
+  ASSERT_TRUE(open.ok());
+  ASSERT_TRUE(jfs.write(open.value(), 0, body).ok());
+  const TreeImage before = tree_image(jfs);
+
+  const auto rep = jfs.simulate_crash();
+  EXPECT_EQ(rep.records_scanned, 0u);
+  EXPECT_EQ(rep.txns_applied, 0u);
+  EXPECT_EQ(rep.txns_discarded, 0u);
+  EXPECT_FALSE(rep.found_torn);
+  EXPECT_EQ(tree_image(jfs), before);
+  EXPECT_TRUE(jfs.fsck().clean);
+  st.close();
 }
 
 // --- supervisor dirty-page budget ----------------------------------------------
