@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification, three configurations:
+# Tier-1 verification, one configuration per mode:
 #
 #   plain   the required suite (ctest label tier1) in the default build
 #   faults  the same kernel-path suites re-run with USK_FAIL_SPEC armed
@@ -53,9 +53,10 @@
 #        (default: all)
 #
 # Build trees: build/ (plain + faults + sup + ring + obs + storage +
-# sched), build-asan/, build-ubsan/, build-tsan/. TSan is optional
-# (heavyweight); `all` runs plain+faults+sup+ring+obs+storage+sched+
-# asan+ubsan, matching the checked-in acceptance gates.
+# sched + dl + stress), build-asan/, build-ubsan/, build-tsan/. TSan and
+# stress are optional (heavyweight); `all` runs plain+faults+sup+ring+
+# obs+storage+sched+dl+asan+ubsan, matching the checked-in acceptance
+# gates.
 # Fails fast: the first red suite stops the script with a nonzero exit.
 set -euo pipefail
 

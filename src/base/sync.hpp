@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,13 +167,6 @@ class ShardedLock {
     }
   }
 
-  /// The shard covering `hash` (callers hash their key).
-  [[nodiscard]] SpinLock& shard_for(std::size_t hash) {
-    return *shards_[hash % shards_.size()];
-  }
-  [[nodiscard]] std::size_t shard_index(std::size_t hash) const {
-    return hash % shards_.size();
-  }
   [[nodiscard]] SpinLock& at(std::size_t i) { return *shards_[i]; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
@@ -191,68 +183,6 @@ class ShardedLock {
 
  private:
   std::vector<std::unique_ptr<SpinLock>> shards_;
-};
-
-/// Reader-writer lock (rwlock_t analogue) for structures whose read path
-/// dominates (e.g. the MemFs inode table under metadata workloads). Only
-/// counters are kept -- no SyncHooks events, because the hook protocol
-/// pairs lock/unlock per object and concurrent readers would interleave
-/// the pairs and confuse the lock monitors; the instrumented dcache and
-/// kmalloc spinlocks remain the observable objects.
-class RwLock {
- public:
-  explicit RwLock(std::string name = "rwlock") : name_(std::move(name)) {}
-
-  RwLock(const RwLock&) = delete;
-  RwLock& operator=(const RwLock&) = delete;
-
-  void lock_shared() {
-    mu_.lock_shared();
-    read_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void unlock_shared() { mu_.unlock_shared(); }
-  void lock() {
-    mu_.lock();
-    write_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void unlock() { mu_.unlock(); }
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::uint64_t read_acquisitions() const {
-    return read_acquisitions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t write_acquisitions() const {
-    return write_acquisitions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::shared_mutex mu_;
-  std::atomic<std::uint64_t> read_acquisitions_{0};
-  std::atomic<std::uint64_t> write_acquisitions_{0};
-  std::string name_;
-};
-
-/// RAII guards for RwLock.
-class ReadGuard {
- public:
-  explicit ReadGuard(RwLock& l) : l_(l) { l_.lock_shared(); }
-  ~ReadGuard() { l_.unlock_shared(); }
-  ReadGuard(const ReadGuard&) = delete;
-  ReadGuard& operator=(const ReadGuard&) = delete;
-
- private:
-  RwLock& l_;
-};
-
-class WriteGuard {
- public:
-  explicit WriteGuard(RwLock& l) : l_(l) { l_.lock(); }
-  ~WriteGuard() { l_.unlock(); }
-  WriteGuard(const WriteGuard&) = delete;
-  WriteGuard& operator=(const WriteGuard&) = delete;
-
- private:
-  RwLock& l_;
 };
 
 /// Reference counter analogous to kref. The paper's monitors verify that

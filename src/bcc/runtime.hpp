@@ -103,7 +103,6 @@ class Runtime {
   [[nodiscard]] const std::vector<BccError>& errors() const { return errors_; }
   [[nodiscard]] AddressMap& map() { return *map_; }
   [[nodiscard]] const RuntimeOptions& options() const { return opt_; }
-  void set_options(const RuntimeOptions& o) { opt_ = o; }
   void clear_errors() { errors_.clear(); }
 
   /// Process-wide instance used by the BccPtrPolicy (JournalFs builds).

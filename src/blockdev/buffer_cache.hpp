@@ -76,7 +76,6 @@ struct WritebackConfig {
   std::uint32_t interval_ms = 50;     ///< flusher wakeup period
   std::uint32_t dirty_ratio_pct = 25; ///< start writing above this % of capacity
   std::uint32_t max_age_ms = 500;     ///< any dirty block older than this goes
-  std::uint32_t max_batch = 64;       ///< blocks per wakeup
 };
 
 /// Process-wide dirty gate (supervisor dirty-page budgets). Called on
@@ -358,7 +357,7 @@ class BufferCache {
           capacity_ * wb_cfg_.dirty_ratio_pct / 100;
       std::uint32_t written = 0;
       for (const auto& [since, lba] : dirty) {
-        if (written >= wb_cfg_.max_batch) break;
+        if (written >= kWritebackBatch) break;
         const bool over_ratio = dirty_count_ > ratio_target;
         const bool aged =
             now - since >= std::chrono::milliseconds(wb_cfg_.max_age_ms);
@@ -383,6 +382,8 @@ class BufferCache {
   mutable std::mutex mu_;
   std::condition_variable wb_cv_;
   WritebackConfig wb_cfg_{};
+  /// Blocks the flusher writes per wakeup.
+  static constexpr std::uint32_t kWritebackBatch = 64;
   bool wb_stop_ = false;
   std::thread flusher_;
 };

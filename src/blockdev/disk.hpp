@@ -24,18 +24,15 @@ namespace usk::blockdev {
 using Lba = std::uint64_t;
 inline constexpr std::size_t kBlockBytes = 4096;
 
-/// Cost parameters in work units. Defaults approximate a 2005 7,200 RPM
-/// disk relative to the boundary model's ~450-unit syscall crossing: a
-/// full-stroke seek is worth hundreds of syscalls, sequential transfer is
-/// nearly free.
-struct DiskModel {
-  std::uint64_t seek_base = 1200;      ///< head settle once the move starts
-  std::uint64_t seek_per_log2 = 900;   ///< per log2(distance) step
-  std::uint64_t rotational = 1400;     ///< average rotational latency
-  std::uint64_t transfer_per_block = 260;
-  /// Consecutive LBAs after the head need no seek or rotation.
-  std::uint64_t sequential_window = 1;
-};
+/// Costs in work units, approximating a 2005 7,200 RPM disk relative to
+/// the boundary model's ~450-unit syscall crossing: a full-stroke seek is
+/// worth hundreds of syscalls, sequential transfer is nearly free.
+inline constexpr std::uint64_t kSeekBase = 1200;  ///< head settle once moving
+inline constexpr std::uint64_t kSeekPerLog2 = 900;  ///< per log2(distance)
+inline constexpr std::uint64_t kRotational = 1400;  ///< average rotation
+inline constexpr std::uint64_t kTransferPerBlock = 260;
+/// Consecutive LBAs after the head need no seek or rotation.
+inline constexpr Lba kSequentialWindow = 1;
 
 struct DiskStats {
   std::uint64_t reads = 0;
@@ -51,8 +48,7 @@ struct DiskStats {
 
 class Disk {
  public:
-  Disk(Lba blocks, DiskModel model = DiskModel{})
-      : blocks_(blocks), model_(model) {}
+  explicit Disk(Lba blocks) : blocks_(blocks) {}
 
   /// Charge hook (work engine + task kernel time), same contract as the
   /// filesystem cost hooks.
@@ -73,7 +69,6 @@ class Disk {
   [[nodiscard]] Lba size() const { return blocks_; }
   [[nodiscard]] Lba head() const { return head_; }
   [[nodiscard]] const DiskStats& stats() const { return stats_; }
-  [[nodiscard]] const DiskModel& model() const { return model_; }
 
  private:
   Result<void> access(Lba lba, bool write) {
@@ -82,11 +77,11 @@ class Disk {
     } else {
       ++stats_.reads;
     }
-    std::uint64_t units = model_.transfer_per_block;
+    std::uint64_t units = kTransferPerBlock;
     Lba lo = std::min(head_, lba);
     Lba hi = std::max(head_, lba);
     Lba distance = hi - lo;
-    if (distance <= model_.sequential_window) {
+    if (distance <= kSequentialWindow) {
       ++stats_.sequential_hits;
     } else {
       ++stats_.seeks;
@@ -98,8 +93,7 @@ class Disk {
         distance >>= 1;
         ++steps;
       }
-      units += model_.seek_base + model_.seek_per_log2 * steps +
-               model_.rotational;
+      units += kSeekBase + kSeekPerLog2 * steps + kRotational;
     }
     head_ = lba + 1;  // transfer leaves the head after the block
     if (auto f = USK_FAIL_POINT(write ? fault::Site::kDiskWrite
@@ -114,15 +108,14 @@ class Disk {
       // Transient media error: the sector reads clean on retry, one
       // rotation later.
       ++stats_.retries;
-      units += model_.rotational;
+      units += kRotational;
     }
     if (auto f = USK_FAIL_POINT(fault::Site::kDiskLatency);
         f.fail || f.transient) {
       // Seek storm: the access completes, but only after a full-stroke
       // seek's worth of extra latency (e.g. thermal recalibration).
       ++stats_.latency_spikes;
-      units +=
-          model_.seek_base + model_.seek_per_log2 * 30 + model_.rotational;
+      units += kSeekBase + kSeekPerLog2 * 30 + kRotational;
     }
     stats_.units_charged += units;
     if (charge_) charge_(units);
@@ -130,7 +123,6 @@ class Disk {
   }
 
   Lba blocks_;
-  DiskModel model_;
   Lba head_ = 0;
   DiskStats stats_;
   std::function<void(std::uint64_t)> charge_;

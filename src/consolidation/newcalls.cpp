@@ -9,20 +9,6 @@ namespace usk::consolidation {
 using uk::Kernel;
 using uk::Process;
 
-namespace {
-
-/// Copy a user path into a kernel buffer; negative SysRet on failure.
-std::int64_t fetch_path(Kernel& k, Process& p, const char* upath,
-                        char* kpath) {
-  if (upath == nullptr) return sysret_err(Errno::kEFAULT);
-  Result<std::size_t> len =
-      k.boundary().strncpy_from_user(p.task, kpath, upath, Kernel::kMaxPath);
-  if (!len) return sysret_err(len.error());
-  return static_cast<std::int64_t>(len.value());
-}
-
-}  // namespace
-
 SysRet sys_readdirplus(Kernel& k, Process& p, const char* upath, void* ubuf,
                        std::size_t n, std::uint64_t* ucookie) {
   Kernel::Scope scope(k, p, uk::Sys::kReaddirPlus);
@@ -31,7 +17,7 @@ SysRet sys_readdirplus(Kernel& k, Process& p, const char* upath, void* ubuf,
     return scope.fail(Errno::kEFAULT);
   }
   char kpath[Kernel::kMaxPath];
-  std::int64_t len = fetch_path(k, p, upath, kpath);
+  std::int64_t len = k.get_user_path(p, upath, kpath);
   if (len < 0) return scope.done(len);
 
   std::uint64_t cookie = 0;
@@ -95,7 +81,7 @@ SysRet sys_open_read_close(Kernel& k, Process& p, const char* upath,
   if (SysRet g = scope.gate(); g != 0) return g;
   if (ubuf == nullptr) return scope.fail(Errno::kEFAULT);
   char kpath[Kernel::kMaxPath];
-  std::int64_t len = fetch_path(k, p, upath, kpath);
+  std::int64_t len = k.get_user_path(p, upath, kpath);
   if (len < 0) return scope.done(len);
 
   Result<int> fd =
@@ -133,7 +119,7 @@ SysRet sys_open_write_close(Kernel& k, Process& p, const char* upath,
   if (SysRet g = scope.gate(); g != 0) return g;
   if (ubuf == nullptr) return scope.fail(Errno::kEFAULT);
   char kpath[Kernel::kMaxPath];
-  std::int64_t len = fetch_path(k, p, upath, kpath);
+  std::int64_t len = k.get_user_path(p, upath, kpath);
   if (len < 0) return scope.done(len);
 
   int open_flags = fs::kOWrOnly | (flags & (fs::kOCreat | fs::kOTrunc |
@@ -172,7 +158,7 @@ SysRet sys_open_fstat(Kernel& k, Process& p, const char* upath,
   if (SysRet g = scope.gate(); g != 0) return g;
   if (ust == nullptr) return scope.fail(Errno::kEFAULT);
   char kpath[Kernel::kMaxPath];
-  std::int64_t len = fetch_path(k, p, upath, kpath);
+  std::int64_t len = k.get_user_path(p, upath, kpath);
   if (len < 0) return scope.done(len);
 
   Result<int> fd =

@@ -26,10 +26,6 @@ namespace usk::cosy {
 struct Compound {
   std::vector<OpRecord> ops;
   std::vector<char> strpool;
-
-  [[nodiscard]] std::size_t size_bytes() const {
-    return ops.size() * sizeof(OpRecord) + strpool.size();
-  }
 };
 
 /// Validation result: first offending op and reason, or ok.

@@ -14,6 +14,9 @@ namespace usk::cosy {
 
 namespace {
 constexpr std::uint64_t kMaxExecutedOps = 1 << 22;  // hard stop (defence in depth)
+/// Per-op decode cost in work units ("the overhead to decode a compound
+/// increases with the complexity of the language").
+constexpr std::uint64_t kDecodeCost = 25;
 }
 
 CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
@@ -155,7 +158,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
     }
     const std::size_t cur = pc;
     const OpRecord& rec = c.ops[cur];
-    charge(decode_cost_);
+    charge(kDecodeCost);
     ++stats_.ops_executed;
     ++out.ops_run;
 
@@ -331,30 +334,15 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
           r = sysret_err(Errno::kEFAULT);
           break;
         }
-        std::size_t max_entries =
-            std::max<std::size_t>(1, max_bytes / sizeof(uk::DirentHdr));
-        Result<std::vector<fs::DirEntry>> win =
-            vfs.readdir_window(p.fds, fd, f->pos, max_entries);
-        if (!win) {
-          r = sysret_err(win.error());
+        Result<uk::DirentPack> pk =
+            uk::pack_dirents(vfs, p.fds, fd, f->pos, dst);
+        if (!pk) {
+          r = sysret_err(pk.error());
           break;
         }
-        std::size_t off = 0;
-        std::size_t taken = 0;
-        for (const fs::DirEntry& de : win.value()) {
-          std::size_t need = sizeof(uk::DirentHdr) + de.name.size();
-          if (off + need > max_bytes) break;
-          uk::DirentHdr hdr{de.ino, static_cast<std::uint8_t>(de.type),
-                            static_cast<std::uint8_t>(de.name.size())};
-          std::memcpy(dst.data() + off, &hdr, sizeof(hdr));
-          std::memcpy(dst.data() + off + sizeof(hdr), de.name.data(),
-                      de.name.size());
-          off += need;
-          ++taken;
-        }
-        f->pos += taken;
-        shared.bytes_via_shared += off;
-        r = static_cast<SysRet>(off);
+        f->pos += pk.value().entries;
+        shared.bytes_via_shared += pk.value().bytes;
+        r = static_cast<SysRet>(pk.value().bytes);
         break;
       }
       case Op::kUnlink: {
@@ -470,7 +458,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
         for (std::size_t i = 0; i < rec.nargs; ++i) fargs[i] = val(rec.args[i]);
         VmRunStats vstats;
         Result<std::int64_t> res =
-            fn->run(std::span(fargs, rec.nargs), sched, engine, vm_costs_,
+            fn->run(std::span(fargs, rec.nargs), sched, engine,
                     guard != nullptr ? &vstats : nullptr);
         if (!res) {
           // A protection fault or watchdog kill inside the user function

@@ -68,11 +68,6 @@ class CosyExtension {
   [[nodiscard]] seg::DescriptorTable& gdt() { return gdt_; }
   [[nodiscard]] const ExecStats& stats() const { return stats_; }
 
-  void set_vm_costs(const VmCosts& c) { vm_costs_ = c; }
-  /// Per-op decode cost in work units ("the overhead to decode a compound
-  /// increases with the complexity of the language").
-  void set_decode_cost(std::uint64_t units) { decode_cost_ = units; }
-
   /// Heuristic trust (paper §2.4 future work): "The behavior of untrusted
   /// code will be observed for some specific time period and once the
   /// untrusted code is considered safe, the security checks will be
@@ -113,8 +108,6 @@ class CosyExtension {
   uk::Kernel& k_;
   seg::DescriptorTable gdt_;
   FunctionTable funcs_;
-  VmCosts vm_costs_;
-  std::uint64_t decode_cost_ = 25;
   std::uint64_t trust_threshold_ = 0;
   sup::Supervisor* sup_ = nullptr;
   sup::ExtId sup_id_ = -1;

@@ -112,7 +112,6 @@ Result<VmInstr> VmFunction::fetch(std::size_t pc, VmRunStats* stats) {
 Result<std::int64_t> VmFunction::run(std::span<const std::int64_t> args,
                                      sched::Scheduler& sched,
                                      base::WorkEngine& engine,
-                                     const VmCosts& costs,
                                      VmRunStats* stats) {
   VmRunStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -121,8 +120,8 @@ Result<std::int64_t> VmFunction::run(std::span<const std::int64_t> args,
     // Far call into the isolated segment: the cross-segment transfer the
     // paper identifies as this mode's overhead.
     gdt_.note_far_call();
-    engine.alu(costs.far_call);
-    if (sched::Task* t = sched.current()) t->charge_kernel(costs.far_call);
+    engine.alu(kVmFarCall);
+    if (sched::Task* t = sched.current()) t->charge_kernel(kVmFarCall);
   }
 
   std::int64_t regs[kVmRegs] = {};
@@ -133,7 +132,7 @@ Result<std::int64_t> VmFunction::run(std::span<const std::int64_t> args,
   std::size_t pc = 0;
   std::uint64_t since_charge = 0;
   auto flush_charge = [&](std::uint64_t n) {
-    std::uint64_t units = n * costs.per_instr;
+    std::uint64_t units = n * kVmPerInstr;
     engine.alu(units);
     if (sched::Task* t = sched.current()) t->charge_kernel(units);
   };
@@ -146,7 +145,7 @@ Result<std::int64_t> VmFunction::run(std::span<const std::int64_t> args,
     }
     const VmInstr in = fi.value();
     ++stats->instructions;
-    if (++since_charge >= costs.charge_batch) {
+    if (++since_charge >= kVmChargeBatch) {
       flush_charge(since_charge);
       since_charge = 0;
     }

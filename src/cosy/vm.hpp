@@ -70,11 +70,9 @@ enum class SafetyMode {
 inline constexpr std::size_t kVmRegs = 16;
 
 /// Costs of the safety machinery, in work units.
-struct VmCosts {
-  std::uint64_t per_instr = 2;        ///< base interpreter step
-  std::uint64_t far_call = 400;       ///< cross-segment call (isolated mode)
-  std::uint64_t charge_batch = 32;    ///< instructions per cost flush
-};
+inline constexpr std::uint64_t kVmPerInstr = 2;  ///< base interpreter step
+inline constexpr std::uint64_t kVmFarCall = 400;  ///< cross-segment call
+inline constexpr std::uint64_t kVmChargeBatch = 32;  ///< instrs per flush
 
 struct VmRunStats {
   std::uint64_t instructions = 0;
@@ -92,10 +90,9 @@ class VmFunction {
   /// a safety violation / watchdog kill.
   Result<std::int64_t> run(std::span<const std::int64_t> args,
                            sched::Scheduler& sched, base::WorkEngine& engine,
-                           const VmCosts& costs, VmRunStats* stats);
+                           VmRunStats* stats);
 
   [[nodiscard]] SafetyMode mode() const { return mode_; }
-  [[nodiscard]] seg::Selector data_selector() const { return data_sel_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Switch the safety mode at run time (the paper's §2.4 heuristic: after

@@ -249,7 +249,7 @@ bool spurious_wake() {
 
 std::uint64_t Admission::service_estimate_ns() const {
   std::uint64_t est = est_ns_.load(std::memory_order_relaxed);
-  return std::max(est, cfg_.min_service_ns);
+  return std::max(est, kMinServiceNs);
 }
 
 bool Admission::try_admit(std::int64_t remaining_ns) {
@@ -297,7 +297,7 @@ void Admission::depart(std::uint64_t service_ns) {
     }
     if (m == 0) return;
     const auto rank = static_cast<std::size_t>(
-        cfg_.percentile / 100.0 * static_cast<double>(m - 1) + 0.5);
+        kPercentile / 100.0 * static_cast<double>(m - 1) + 0.5);
     std::nth_element(w.begin(), w.begin() + rank, w.begin() + m);
     est_ns_.store(w[rank], std::memory_order_relaxed);
   }

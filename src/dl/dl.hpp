@@ -202,8 +202,6 @@ bool spurious_wake();
 /// serving pool (the workload owns it); counters roll up into Kdl.
 struct AdmissionConfig {
   std::size_t max_inflight = 64;  ///< hard inflight bound
-  double percentile = 90.0;       ///< service-estimate percentile
-  std::uint64_t min_service_ns = 1000;  ///< estimate floor (cold start)
 };
 
 class Admission {
@@ -231,6 +229,8 @@ class Admission {
   /// overstates a percentile by up to 2x -- enough to halve the inflight
   /// count the feasibility test allows.
   static constexpr std::size_t kWindow = 64;
+  static constexpr double kPercentile = 90.0;  ///< service-estimate rank
+  static constexpr std::uint64_t kMinServiceNs = 1000;  ///< cold-start floor
 
   AdmissionConfig cfg_;
   std::atomic<std::size_t> inflight_{0};

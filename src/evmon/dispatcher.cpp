@@ -28,11 +28,6 @@ void Dispatcher::unregister_callback(CallbackId id) {
                              std::memory_order_release);
 }
 
-std::size_t Dispatcher::callback_count() const {
-  auto snap = std::atomic_load_explicit(&snapshot_, std::memory_order_acquire);
-  return snap->size();
-}
-
 void Dispatcher::log_event(void* object, std::int32_t type, const char* file,
                            int line) {
   Event e;

@@ -67,7 +67,6 @@ class Dispatcher {
                            invocations_.load(std::memory_order_relaxed),
                            ring_pushes_.load(std::memory_order_relaxed)};
   }
-  [[nodiscard]] std::size_t callback_count() const;
 
   /// Bridge base::SyncHooks (spinlocks, refcounts, semaphores, IRQ state)
   /// into this dispatcher. Only one bridge may be active process-wide.

@@ -139,7 +139,6 @@ class JournalFs final : public FileSystem {
     bitmap_ = Policy::template alloc_array<std::uint8_t>(data_blocks_);
     data_ = Policy::template alloc_array<std::uint8_t>(data_blocks_ *
                                                        kBlockSize);
-    journal_ = Policy::template alloc_array<JournalRecord>(journal_slots_);
 
     // Format: inode 0 is the root directory.
     DiskInode root{};
@@ -167,9 +166,6 @@ class JournalFs final : public FileSystem {
   void set_cost_hook(std::function<void(std::uint64_t)> hook) {
     charge_ = std::move(hook);
   }
-  void set_costs(const FsCosts& c) { costs_ = c; }
-  /// Extra units per journal record (the commit path's write cost).
-  void set_journal_cost(std::uint64_t units) { journal_cost_ = units; }
 
   /// Attach a buffer cache over a simulated disk. The filesystem's block
   /// numbers map directly to LBAs in a data region; the journal occupies
@@ -179,7 +175,7 @@ class JournalFs final : public FileSystem {
   void set_io_model(blockdev::BufferCache* cache) { io_ = cache; }
 
   Result<InodeNum> lookup(InodeNum dir, std::string_view name) override {
-    charge(costs_.lookup);
+    charge(kCosts.lookup);
     DiskInode* d = dir_inode(dir);
     if (d == nullptr) return Errno::kENOTDIR;
     Dirent de;
@@ -189,7 +185,7 @@ class JournalFs final : public FileSystem {
 
   Result<InodeNum> create(InodeNum dir, std::string_view name, FileType type,
                           std::uint32_t mode) override {
-    charge(costs_.create);
+    charge(kCosts.create);
     TxnScope txn(*this);
     if (name.empty() || name.size() > kMaxNameLen) return Errno::kENAMETOOLONG;
     DiskInode* d = dir_inode(dir);
@@ -225,13 +221,13 @@ class JournalFs final : public FileSystem {
   }
 
   Result<void> unlink(InodeNum dir, std::string_view name) override {
-    charge(costs_.remove);
+    charge(kCosts.remove);
     TxnScope txn(*this);
     return remove_entry(dir, name, /*want_dir=*/false);
   }
 
   Result<void> link(InodeNum dir, std::string_view name, InodeNum target) override {
-    charge(costs_.create);
+    charge(kCosts.create);
     TxnScope txn(*this);
     if (name.empty() || name.size() > kMaxNameLen) return Errno::kENAMETOOLONG;
     DiskInode* d = dir_inode(dir);
@@ -253,7 +249,7 @@ class JournalFs final : public FileSystem {
   }
 
   Result<void> chmod(InodeNum ino, std::uint32_t mode) override {
-    charge(costs_.getattr);
+    charge(kCosts.getattr);
     TxnScope txn(*this);
     DiskInode* n = inode(ino);
     if (n == nullptr) return Errno::kENOENT;
@@ -264,14 +260,14 @@ class JournalFs final : public FileSystem {
   }
 
   Result<void> rmdir(InodeNum dir, std::string_view name) override {
-    charge(costs_.remove);
+    charge(kCosts.remove);
     TxnScope txn(*this);
     return remove_entry(dir, name, /*want_dir=*/true);
   }
 
   Result<void> rename(InodeNum src_dir, std::string_view src_name, InodeNum dst_dir,
                std::string_view dst_name) override {
-    charge(costs_.rename);
+    charge(kCosts.rename);
     TxnScope txn(*this);
     if (dst_name.size() > kMaxNameLen) return Errno::kENAMETOOLONG;
     DiskInode* sd = dir_inode(src_dir);
@@ -308,7 +304,7 @@ class JournalFs final : public FileSystem {
 
   Result<std::size_t> read(InodeNum ino, std::uint64_t offset,
                            std::span<std::byte> out) override {
-    charge(costs_.data_per_kib * (out.size() + 1023) / 1024 + 8);
+    charge(kCosts.data_per_kib * (out.size() + 1023) / 1024 + 8);
     DiskInode* n = inode(ino);
     if (n == nullptr) return Errno::kENOENT;
     if (file_type(*n) == FileType::kDirectory) return Errno::kEISDIR;
@@ -341,7 +337,7 @@ class JournalFs final : public FileSystem {
 
   Result<std::size_t> write(InodeNum ino, std::uint64_t offset,
                             std::span<const std::byte> in) override {
-    charge(costs_.data_per_kib * (in.size() + 1023) / 1024 + 10);
+    charge(kCosts.data_per_kib * (in.size() + 1023) / 1024 + 10);
     TxnScope txn(*this);
     DiskInode* n = inode(ino);
     if (n == nullptr) return Errno::kENOENT;
@@ -373,7 +369,7 @@ class JournalFs final : public FileSystem {
   }
 
   Result<void> truncate(InodeNum ino, std::uint64_t size) override {
-    charge(costs_.truncate);
+    charge(kCosts.truncate);
     TxnScope txn(*this);
     DiskInode* n = inode(ino);
     if (n == nullptr) return Errno::kENOENT;
@@ -390,7 +386,7 @@ class JournalFs final : public FileSystem {
   }
 
   Result<void> getattr(InodeNum ino, StatBuf* st) override {
-    charge(costs_.getattr);
+    charge(kCosts.getattr);
     DiskInode* n = inode(ino);
     if (n == nullptr) return Errno::kENOENT;
     st->ino = ino;
@@ -406,7 +402,7 @@ class JournalFs final : public FileSystem {
   }
 
   Result<std::vector<DirEntry>> readdir(InodeNum dir) override {
-    charge(costs_.readdir_base);
+    charge(kCosts.readdir_base);
     DiskInode* d = dir_inode(dir);
     if (d == nullptr) return Errno::kENOTDIR;
     std::vector<DirEntry> out;
@@ -508,7 +504,6 @@ class JournalFs final : public FileSystem {
     crash_sim_ = true;
     (void)commit_journal();  // checkpoint: current state becomes stable
   }
-  [[nodiscard]] bool crash_sim_enabled() const { return crash_sim_; }
 
   struct CrashReport {
     std::size_t records_scanned = 0;
@@ -707,6 +702,9 @@ class JournalFs final : public FileSystem {
   }
 
  private:
+  /// Per-operation work units: MemFs's default prices.
+  static constexpr FsCosts kCosts{};
+
   void charge(std::uint64_t units) {
     if (charge_) charge_(units);
   }
@@ -963,9 +961,16 @@ class JournalFs final : public FileSystem {
   /// Keep this many free journal slots when deciding to checkpoint, so a
   /// transaction never wraps the circular log over its own records.
   static constexpr std::size_t kJournalMargin = 16;
+  /// Extra units per journal record (the commit path's write cost).
+  static constexpr std::uint64_t kJournalCost = 40;
 
   JournalRecord& next_record(JRecKind kind, std::uint32_t target,
                              std::uint32_t len) {
+    // The strip is allocated on the first store-less append: a
+    // store-attached filesystem never reads or writes it.
+    if (!journal_) {
+      journal_ = Policy::template alloc_array<JournalRecord>(journal_slots_);
+    }
     JournalRecord& rec = journal_[journal_head_ % journal_slots_];
     rec.seq = ++journal_seq_;
     rec.kind = static_cast<std::uint8_t>(kind);
@@ -1024,7 +1029,7 @@ class JournalFs final : public FileSystem {
     }
     ++jstats_.journal_records;
     txn_dirty_ = true;
-    charge(journal_cost_);
+    charge(kJournalCost);
     if (journal_seq_ % commit_interval_ == 0) {
       // Crash-sim defers the checkpoint to the transaction boundary so the
       // stable image never contains half a transaction.
@@ -1408,7 +1413,7 @@ class JournalFs final : public FileSystem {
   Ptr<DiskInode> inodes_{};
   Ptr<std::uint8_t> bitmap_{};
   Ptr<std::uint8_t> data_{};
-  Ptr<JournalRecord> journal_{};
+  Ptr<JournalRecord> journal_{};  ///< store-less strip; null until used
   std::size_t bitmap_cursor_ = 0;
   std::uint64_t clock_ = 0;
   std::uint64_t journal_seq_ = 0;
@@ -1423,8 +1428,6 @@ class JournalFs final : public FileSystem {
   std::vector<std::uint8_t> stable_bitmap_;
   std::vector<std::uint8_t> stable_data_;
   JournalFsStats jstats_;
-  FsCosts costs_;
-  std::uint64_t journal_cost_ = 40;
   std::function<void(std::uint64_t)> charge_;
   blockdev::BufferCache* io_ = nullptr;
   // --- persistent store state (PR-8) ---

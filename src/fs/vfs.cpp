@@ -301,12 +301,6 @@ Result<void> Vfs::stat(std::string_view path, StatBuf* st) {
   return loc.value().fs->getattr(loc.value().ino, st);
 }
 
-Result<std::vector<DirEntry>> Vfs::readdir_fd(FdTable& fds, int fd) {
-  OpenFile* f = fds.get(fd);
-  if (f == nullptr) return Errno::kEBADF;
-  return file_fs(fs_, *f).readdir(f->ino);
-}
-
 Result<std::vector<DirEntry>> Vfs::readdir_window(FdTable& fds, int fd,
                                                   std::size_t start,
                                                   std::size_t max_entries) {

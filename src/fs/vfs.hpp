@@ -104,7 +104,6 @@ class Vfs {
   /// filesystem work (the gateway's EBADF-before-work ordering).
   Result<void> fsync(FdTable& fds, int fd, bool datasync);
   Result<void> stat(std::string_view path, StatBuf* st);
-  Result<std::vector<DirEntry>> readdir_fd(FdTable& fds, int fd);
   /// Windowed listing for getdents-style resumable reads.
   Result<std::vector<DirEntry>> readdir_window(FdTable& fds, int fd,
                                                std::size_t start,

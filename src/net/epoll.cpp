@@ -159,7 +159,7 @@ SysRet Net::sys_epoll_wait(uk::Process& p, int epfd, EpollEvent* uevents,
     out.clear();
     std::vector<int> dead;
     for (const Cand& c : cands) {
-      charge(costs_.poll_op);
+      charge(kPollOp);
       std::shared_ptr<Socket> s = c.sock.lock();
       if (s == nullptr) {
         dead.push_back(c.fd);  // closed while registered: prune silently

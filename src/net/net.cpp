@@ -30,8 +30,7 @@ namespace {
 constexpr std::uint32_t kSockFsId = 0xFFFFFFFFu;
 }  // namespace
 
-Net::Net(uk::Kernel& k, NetCosts costs)
-    : k_(k), costs_(costs), sockfs_(*this) {}
+Net::Net(uk::Kernel& k) : k_(k), sockfs_(*this) {}
 
 void Net::charge(std::uint64_t units) {
   k_.engine().alu(units);
@@ -99,7 +98,7 @@ Errno Net::block_on(std::unique_lock<std::mutex>& lk, sched::WaitQueue& wq,
 std::shared_ptr<Socket> Net::make_socket(bool nonblock) {
   std::lock_guard lk(tab_mu_);
   fs::InodeNum ino = next_ino_++;
-  auto s = std::make_shared<Socket>(ino, costs_, nonblock);
+  auto s = std::make_shared<Socket>(ino, nonblock);
   sockets_[ino] = s;
   sockets_created_.fetch_add(1, std::memory_order_relaxed);
   return s;
@@ -183,7 +182,7 @@ SysRet Net::sys_listen(uk::Process& p, int fd, int backlog) {
   Socket& s = *rs.value();
   std::lock_guard slk(s.mu_);
   if (s.state_ != SockState::kBound) return scope.fail(Errno::kEINVAL);
-  s.backlog_ = std::clamp(backlog, 1, costs_.backlog_max);
+  s.backlog_ = std::clamp(backlog, 1, kBacklogMax);
   s.state_ = SockState::kListening;
   return scope.done(0);
 }
@@ -227,7 +226,7 @@ SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
   srv->peer_ = cli;
   srv->nonblock_ = lsn->nonblock_;  // accepted conns inherit the listener's
 
-  charge(costs_.connect_setup);
+  charge(kConnectSetup);
 
   // Queue it on the listener; a full backlog blocks (or EAGAIN).
   {
@@ -296,7 +295,7 @@ Result<int> Net::accept_pop(uk::Process& p, Socket& ls) {
     ls.accept_q_.pop_front();
     ls.wq_.wake_all();  // a connect parked on a full backlog
   }
-  charge(costs_.accept_setup);
+  charge(kAcceptSetup);
   Result<int> fd = install_fd(p, conn);
   if (!fd) {
     drop_socket(conn);
@@ -335,7 +334,7 @@ Result<std::size_t> Net::send_from(Socket& s,
                                    std::span<const std::byte> in) {
   if (auto f = USK_FAIL_POINT(fault::Site::kNetSend); f.fail || f.transient) {
     if (f.fail) return f.err;
-    charge(costs_.per_packet);  // transient: one retransmit's worth of work
+    charge(kPerPacket);  // transient: one retransmit's worth of work
   }
   std::shared_ptr<Socket> peer;
   bool nonblock = false;
@@ -371,14 +370,13 @@ Result<std::size_t> Net::send_from(Socket& s,
       }
       pushed = peer->rx_.push(in.subspan(sent));
       peer->bytes_rx_ += pushed;
-      peer->pkts_rx_ += (pushed + costs_.mtu - 1) / costs_.mtu;
+      peer->pkts_rx_ += (pushed + kMtu - 1) / kMtu;
       notify_watchers_locked(*peer);  // socket -> epoll lock order
       peer->wq_.wake_all();
     }
     // The modelled wire: per-packet protocol work + per-KiB data work.
-    std::uint64_t pkts = (pushed + costs_.mtu - 1) / costs_.mtu;
-    charge(pkts * costs_.per_packet +
-           ((pushed + 1023) / 1024) * costs_.per_kib);
+    std::uint64_t pkts = (pushed + kMtu - 1) / kMtu;
+    charge(pkts * kPerPacket + ((pushed + 1023) / 1024) * kPerKib);
     {
       std::lock_guard slk(s.mu_);
       s.bytes_tx_ += pushed;
@@ -395,7 +393,7 @@ Result<std::size_t> Net::recv_into(Socket& s, std::span<std::byte> out) {
   if (out.empty()) return std::size_t{0};
   if (auto f = USK_FAIL_POINT(fault::Site::kNetRecv); f.fail || f.transient) {
     if (f.fail) return f.err;
-    charge(costs_.per_packet);  // transient: a dropped+retransmitted packet
+    charge(kPerPacket);  // transient: a dropped+retransmitted packet
   }
   std::unique_lock slk(s.mu_);
   for (;;) {
@@ -404,7 +402,7 @@ Result<std::size_t> Net::recv_into(Socket& s, std::span<std::byte> out) {
       std::size_t n = s.rx_.pop(out);
       s.wq_.wake_all();  // a sender parked on a full queue
       slk.unlock();
-      charge(((n + 1023) / 1024) * costs_.per_kib);
+      charge(((n + 1023) / 1024) * kPerKib);
       return n;
     }
     if (s.rx_eof_ || s.state_ == SockState::kClosed ||

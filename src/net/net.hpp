@@ -135,7 +135,7 @@ struct NetStats {
 
 class Net {
  public:
-  explicit Net(uk::Kernel& k, NetCosts costs = NetCosts{});
+  explicit Net(uk::Kernel& k);
 
   // --- the server syscall family -------------------------------------------
   SysRet sys_socket(uk::Process& p, int flags = 0);
@@ -189,7 +189,6 @@ class Net {
 
   // --- introspection -------------------------------------------------------
   [[nodiscard]] uk::Kernel& kernel() { return k_; }
-  [[nodiscard]] const NetCosts& costs() const { return costs_; }
   [[nodiscard]] SocketFs& sockfs() { return sockfs_; }
   [[nodiscard]] NetStats stats() const;
   [[nodiscard]] std::shared_ptr<Socket> find_socket(fs::InodeNum ino);
@@ -238,7 +237,6 @@ class Net {
   static void notify_watchers_locked(Socket& s);
 
   uk::Kernel& k_;
-  NetCosts costs_;
   SocketFs sockfs_;
 
   mutable std::mutex tab_mu_;

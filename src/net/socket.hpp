@@ -38,19 +38,16 @@ namespace usk::net {
 
 class Epoll;
 
-/// Tunable loopback costs in work units, the net sibling of uk::CostModel
-/// and fs::FsCosts. Defaults approximate 2005-era loopback TCP relative
-/// to the ~450-unit syscall crossing.
-struct NetCosts {
-  std::size_t mtu = 1448;             ///< payload bytes per simulated packet
-  std::uint64_t per_packet = 300;     ///< device + protocol work per packet
-  std::uint64_t per_kib = 120;        ///< checksum/segmentation per KiB
-  std::uint64_t connect_setup = 1200; ///< handshake (client side)
-  std::uint64_t accept_setup = 700;   ///< handshake (server side)
-  std::uint64_t poll_op = 40;         ///< readiness check per epoll entry
-  std::size_t rx_capacity = 1 << 16;  ///< per-connection rx queue bytes
-  int backlog_max = 128;              ///< listen() backlog ceiling
-};
+/// Loopback costs in work units, approximating 2005-era loopback TCP
+/// relative to the ~450-unit syscall crossing.
+inline constexpr std::size_t kMtu = 1448;  ///< payload bytes per packet
+inline constexpr std::uint64_t kPerPacket = 300;  ///< device + protocol work
+inline constexpr std::uint64_t kPerKib = 120;  ///< checksum/segmentation
+inline constexpr std::uint64_t kConnectSetup = 1200;  ///< client handshake
+inline constexpr std::uint64_t kAcceptSetup = 700;    ///< server handshake
+inline constexpr std::uint64_t kPollOp = 40;  ///< readiness check per entry
+inline constexpr std::size_t kRxCapacity = 1 << 16;  ///< rx queue bytes
+inline constexpr int kBacklogMax = 128;  ///< listen() backlog ceiling
 
 /// Bounded byte ring: the per-connection receive queue.
 ///
@@ -125,8 +122,7 @@ inline constexpr std::uint32_t kEpollHup = 0x10;
 
 class Socket {
  public:
-  Socket(fs::InodeNum id, const NetCosts& costs, bool nonblock)
-      : id_(id), rx_(costs.rx_capacity) {
+  Socket(fs::InodeNum id, bool nonblock) : id_(id), rx_(kRxCapacity) {
     nonblock_ = nonblock;
   }
 

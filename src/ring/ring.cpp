@@ -37,22 +37,6 @@ std::size_t round_pow2(std::size_t n) {
 
 }  // namespace
 
-const char* ring_op_name(RingOp op) {
-  switch (op) {
-    case RingOp::kNop: return "nop";
-    case RingOp::kOpen: return "open";
-    case RingOp::kClose: return "close";
-    case RingOp::kRead: return "read";
-    case RingOp::kWrite: return "write";
-    case RingOp::kFstat: return "fstat";
-    case RingOp::kAccept: return "accept";
-    case RingOp::kRecv: return "recv";
-    case RingOp::kSend: return "send";
-    case RingOp::kShutdown: return "shutdown";
-  }
-  return "?";
-}
-
 RingStats& RingStats::operator+=(const RingStats& o) {
   enters += o.enters;
   enters_fallback += o.enters_fallback;

@@ -65,8 +65,6 @@ enum class RingOp : std::uint8_t {
   kShutdown,  ///< aux = how (net::kShut*)
 };
 
-[[nodiscard]] const char* ring_op_name(RingOp op);
-
 /// SQE flag: this op links into the next SQE (same chain).
 inline constexpr std::uint8_t kSqeLink = 0x1;
 

@@ -48,7 +48,7 @@ Result<void> Store::open(const std::string& path, const StoreConfig& cfg) {
   cfg_ = cfg;
   data_base_ = 1 + cfg_.journal_blocks;
   const std::uint64_t total = 1 + cfg_.journal_blocks + cfg_.data_blocks;
-  USK_TRY(image_.open(path, total, cfg_.mode));
+  USK_TRY(image_.open(path, total));
 
   // Adopt the surviving superblock, or format a fresh image.
   SuperblockSlot slots[2];

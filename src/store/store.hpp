@@ -51,7 +51,6 @@ namespace usk::store {
 struct StoreConfig {
   std::uint64_t data_blocks = 1024;
   std::uint64_t journal_blocks = 256;
-  ImageMode mode = ImageMode::kPread;
   JournalConfig journal{};
 };
 
@@ -111,7 +110,6 @@ class Store {
   [[nodiscard]] BackingImage& image() { return image_; }
   [[nodiscard]] GroupCommitJournal* journal() { return journal_.get(); }
   [[nodiscard]] blockdev::BufferCache* cache() { return cache_; }
-  [[nodiscard]] std::uint64_t data_base() const { return data_base_; }
   [[nodiscard]] std::uint64_t data_blocks() const { return cfg_.data_blocks; }
   [[nodiscard]] std::uint64_t journal_region_off() const {
     return kBlockBytes;

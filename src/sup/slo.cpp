@@ -13,6 +13,10 @@ namespace usk::sup {
 
 namespace {
 
+/// A window breaches when more than this fraction of its observations
+/// were bad.
+constexpr double kSloMaxBreachFraction = 0.5;
+
 __attribute__((format(printf, 2, 3))) void appendf(std::string& out,
                                                    const char* fmt, ...) {
   char buf[512];
@@ -75,16 +79,15 @@ void SloMonitor::observe(ExtId id, std::uint64_t wall_ns, bool ok) {
     ++sl.state.observed;
     if (!ok) ++sl.state.errors;
     const SloPolicy& p = sl.policy;
-    const bool bad = (p.latency_threshold_ns != 0 &&
-                      wall_ns > p.latency_threshold_ns) ||
-                     (p.count_errors && !ok);
+    const bool bad = !ok || (p.latency_threshold_ns != 0 &&
+                             wall_ns > p.latency_threshold_ns);
     if (bad) ++sl.state.bad;
     ++sl.state.window_count;
     if (bad) ++sl.state.window_bad;
     if (sl.state.window_count >= p.window) {
       const bool breached =
           static_cast<double>(sl.state.window_bad) >
-          p.max_breach_fraction * static_cast<double>(sl.state.window_count);
+          kSloMaxBreachFraction * static_cast<double>(sl.state.window_count);
       sl.state.window_count = 0;
       sl.state.window_bad = 0;
       if (breached) {
@@ -153,7 +156,7 @@ std::string SloMonitor::format() const {
     appendf(out, "%d %s %llu %u %.2f %u %llu %llu %llu %llu %u %llu\n",
             r.id, name.c_str(),
             static_cast<unsigned long long>(r.p.latency_threshold_ns),
-            r.p.window, r.p.max_breach_fraction, r.p.breach_windows,
+            r.p.window, kSloMaxBreachFraction, r.p.breach_windows,
             static_cast<unsigned long long>(r.st.observed),
             static_cast<unsigned long long>(r.st.bad),
             static_cast<unsigned long long>(r.st.errors),

@@ -144,7 +144,7 @@ InvocationGuard::~InvocationGuard() {
     }
   }
   const std::uint64_t wall_ns = trace::ktrace().now_ns() - wall0_;
-  s_.finish_invocation(id_, route_, result, units, wall_ns, forced);
+  s_.finish_invocation(id_, route_, result, wall_ns, forced);
 }
 
 bool InvocationGuard::charge_fuel(std::uint64_t n) {
@@ -439,7 +439,6 @@ ViolationKind Supervisor::classify(Vehicle vehicle, Errno e) {
 }
 
 void Supervisor::finish_invocation(ExtId id, Route route, SysRet result,
-                                   std::uint64_t units,
                                    std::uint64_t wall_ns,
                                    ViolationKind forced) {
   {
@@ -451,7 +450,6 @@ void Supervisor::finish_invocation(ExtId id, Route route, SysRet result,
                                    ? forced
                                    : classify(e.vehicle, err);
     finish_invocation_locked(e, id, route, result, kind, err);
-    (void)units;
   }
   // SLO observation outside mu_: the monitor records into kmetrics and a
   // breach verdict calls record_violation(), which takes mu_ again. Only

@@ -310,8 +310,7 @@ class Supervisor {
   /// under mu_; the SLO observation runs AFTER mu_ is released because
   /// the monitor may call straight back into record_violation().
   void finish_invocation(ExtId id, Route route, SysRet result,
-                         std::uint64_t units, std::uint64_t wall_ns,
-                         ViolationKind forced);
+                         std::uint64_t wall_ns, ViolationKind forced);
   void finish_invocation_locked(Ext& e, ExtId id, Route route,
                                 SysRet result, ViolationKind kind,
                                 Errno err);

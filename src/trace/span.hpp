@@ -152,9 +152,6 @@ class SpanScope {
   void set_name(const char* name) {
     if (armed_) rec_.name = name;
   }
-  void set_ext(std::int32_t ext) {
-    if (armed_) rec_.ext = ext;
-  }
   void set_status(std::int64_t s) {
     if (armed_) rec_.status = s;
   }

@@ -111,15 +111,6 @@ class Audit {
     merged_.clear();
   }
 
-  /// Total user<->kernel bytes across all recorded calls.
-  [[nodiscard]] std::uint64_t total_bytes() const {
-    std::uint64_t sum = 0;
-    buffers_.for_each([&](const std::vector<AuditRecord>& b) {
-      for (const auto& r : b) sum += r.bytes_in + r.bytes_out;
-    });
-    return sum;
-  }
-
  private:
   std::atomic<bool> enabled_{false};
   base::PerCpu<std::vector<AuditRecord>> buffers_;

@@ -11,12 +11,20 @@
 
 namespace usk::uk {
 
+namespace {
+constexpr std::size_t kPhysFrames = 1 << 16;  ///< 256 MiB of simulated RAM
+constexpr std::uint32_t kSchedQuantum = 32;
+/// Base of the vmalloc virtual area and its size in pages.
+constexpr vm::VAddr kVmallocBase = 0xFFFF800000000000ull;
+constexpr std::size_t kVmallocPages = 1 << 15;
+}  // namespace
+
 Kernel::Kernel(fs::FileSystem& rootfs, KernelConfig cfg)
-    : phys_(cfg.phys_frames),
+    : phys_(kPhysFrames),
       kernel_as_(phys_, "kernel"),
       kmalloc_(phys_, cfg.kmalloc_per_cpu_cache),
-      vmalloc_(kernel_as_, cfg.vmalloc_base, cfg.vmalloc_pages),
-      sched_(cfg.sched_quantum),
+      vmalloc_(kernel_as_, kVmallocBase, kVmallocPages),
+      sched_(kSchedQuantum),
       boundary_(engine_, cfg.boundary),
       vfs_(rootfs, cfg.dcache_capacity, cfg.dcache_shards) {}
 
@@ -136,6 +144,29 @@ std::int64_t Kernel::get_user_path(Process& p, const char* upath,
       boundary_.strncpy_from_user(p.task, kpath, upath, kMaxPath);
   if (!len) return sysret_err(len.error());
   return static_cast<std::int64_t>(len.value());
+}
+
+Result<DirentPack> pack_dirents(fs::Vfs& vfs, fs::FdTable& fds, int fd,
+                                std::uint64_t pos, std::span<std::byte> out) {
+  // Estimate how many entries can fit, fetch a window, pack what fits.
+  const std::size_t max_entries =
+      std::max<std::size_t>(1, out.size() / sizeof(DirentHdr));
+  Result<std::vector<fs::DirEntry>> win =
+      vfs.readdir_window(fds, fd, pos, max_entries);
+  if (!win) return win.error();
+  DirentPack pk;
+  for (const fs::DirEntry& de : win.value()) {
+    const std::size_t rec = sizeof(DirentHdr) + de.name.size();
+    if (pk.bytes + rec > out.size()) break;
+    DirentHdr hdr{de.ino, static_cast<std::uint8_t>(de.type),
+                  static_cast<std::uint8_t>(de.name.size())};
+    std::memcpy(out.data() + pk.bytes, &hdr, sizeof(hdr));
+    std::memcpy(out.data() + pk.bytes + sizeof(hdr), de.name.data(),
+                de.name.size());
+    pk.bytes += rec;
+    ++pk.entries;
+  }
+  return pk;
 }
 
 // --- the gateway --------------------------------------------------------------
@@ -412,26 +443,10 @@ SysRet Kernel::do_readdir(Process& p, const SysArgs& a) {
   if (f == nullptr) return sysret_err(Errno::kEBADF);
   if (ubuf == nullptr) return sysret_err(Errno::kEFAULT);
 
-  // Estimate how many entries can fit, fetch a window, pack what fits.
-  std::size_t max_entries = std::max<std::size_t>(1, n / sizeof(DirentHdr));
-  Result<std::vector<fs::DirEntry>> win =
-      vfs_.readdir_window(p.fds, fd, f->pos, max_entries);
-  if (!win) return sysret_err(win.error());
-
   std::vector<std::byte> kbuf(n);
-  std::size_t off = 0;
-  std::size_t taken = 0;
-  for (const fs::DirEntry& de : win.value()) {
-    std::size_t rec = sizeof(DirentHdr) + de.name.size();
-    if (off + rec > n) break;
-    DirentHdr hdr{de.ino, static_cast<std::uint8_t>(de.type),
-                  static_cast<std::uint8_t>(de.name.size())};
-    std::memcpy(kbuf.data() + off, &hdr, sizeof(hdr));
-    std::memcpy(kbuf.data() + off + sizeof(hdr), de.name.data(),
-                de.name.size());
-    off += rec;
-    ++taken;
-  }
+  Result<DirentPack> pk = pack_dirents(vfs_, p.fds, fd, f->pos, kbuf);
+  if (!pk) return sysret_err(pk.error());
+  const std::size_t off = pk.value().bytes;
   if (off > 0) {
     if (Result<std::size_t> c =
             boundary_.copy_to_user(p.task, ubuf, kbuf.data(), off);
@@ -440,7 +455,7 @@ SysRet Kernel::do_readdir(Process& p, const SysArgs& a) {
       return sysret_err(c.error());
     }
   }
-  f->pos += taken;
+  f->pos += pk.value().entries;
   return static_cast<SysRet>(off);
 }
 

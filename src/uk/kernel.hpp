@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,6 @@ class ProcFs;
 namespace usk::uk {
 
 struct KernelConfig {
-  std::size_t phys_frames = 1 << 16;  ///< 256 MiB of simulated RAM
   CostModel boundary;
   std::size_t dcache_capacity = 8192;
   /// Dcache lock sharding. 1 = the paper's single global dcache_lock
@@ -46,10 +46,6 @@ struct KernelConfig {
   /// (SLUB-style). Off by default: the single-allocator configuration is
   /// what the paper's experiments model.
   bool kmalloc_per_cpu_cache = false;
-  std::uint32_t sched_quantum = 32;
-  /// Base of the vmalloc virtual area and its size in pages.
-  vm::VAddr vmalloc_base = 0xFFFF800000000000ull;
-  std::size_t vmalloc_pages = 1 << 15;
 };
 
 /// A user process: one task plus its file-descriptor table.
@@ -65,6 +61,19 @@ struct DirentHdr {
   std::uint8_t type;
   std::uint8_t namelen;
 } __attribute__((packed));
+
+/// A packed getdents batch: bytes written and the entries they hold.
+struct DirentPack {
+  std::size_t bytes = 0;
+  std::size_t entries = 0;
+};
+
+/// Pack the entries of open directory `fd` from position `pos` into
+/// `out` as DirentHdr records, stopping before the first record that
+/// would overflow. The position is left alone: the caller advances it
+/// by `entries` once the bytes have reached their destination.
+Result<DirentPack> pack_dirents(fs::Vfs& vfs, fs::FdTable& fds, int fd,
+                                std::uint64_t pos, std::span<std::byte> out);
 
 /// Wire format for sys_readdirplus: stat + header + name bytes.
 struct DirentPlusHdr {
@@ -114,7 +123,6 @@ class Kernel {
   [[nodiscard]] base::WorkEngine& engine() { return engine_; }
   [[nodiscard]] sched::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] vm::PhysMem& phys() { return phys_; }
-  [[nodiscard]] vm::AddressSpace& kernel_as() { return kernel_as_; }
   [[nodiscard]] mm::Kmalloc& kmalloc() { return kmalloc_; }
   [[nodiscard]] mm::Vmalloc& vmalloc() { return vmalloc_; }
 
@@ -246,10 +254,11 @@ class Kernel {
   static constexpr std::size_t kMaxPath = 4096;
   static constexpr std::size_t kMaxIo = 1 << 20;
 
- private:
-  /// Copy a user path into `kpath`; returns length or negative errno.
+  /// Copy a user path into `kpath` (kMaxPath bytes); returns its length
+  /// or a negative SysRet.
   std::int64_t get_user_path(Process& p, const char* upath, char* kpath);
 
+ private:
   // --- numbered syscall table ------------------------------------------------
   // Handlers are Scope-free: they take the process and the packed args
   // and return a SysRet. syscall() wraps the call in a Scope (crossing +

@@ -400,7 +400,6 @@ class VmTest : public ::testing::Test {
   seg::DescriptorTable gdt_;
   sched::Scheduler sched_;
   base::WorkEngine engine_;
-  VmCosts costs_;
 };
 
 TEST_F(VmTest, ArithmeticFunction) {
@@ -409,8 +408,7 @@ TEST_F(VmTest, ArithmeticFunction) {
   a.mov(0, 1).mul(0, 2).addi(0, 7).ret();
   VmFunction f(a.take(), 64, SafetyMode::kDataSegmentOnly, gdt_, "mul7");
   sched_.enter(sched_.spawn("t"));
-  auto r = f.run(std::array<std::int64_t, 2>{6, 7}, sched_, engine_, costs_,
-                 nullptr);
+  auto r = f.run(std::array<std::int64_t, 2>{6, 7}, sched_, engine_, nullptr);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 49);
 }
@@ -426,8 +424,7 @@ TEST_F(VmTest, DataSegmentLoadStore) {
       .ret();
   VmFunction f(a.take(), 64, SafetyMode::kDataSegmentOnly, gdt_, "ls");
   sched_.enter(sched_.spawn("t"));
-  auto r = f.run(std::array<std::int64_t, 1>{21}, sched_, engine_, costs_,
-                 nullptr);
+  auto r = f.run(std::array<std::int64_t, 1>{21}, sched_, engine_, nullptr);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 42);
 }
@@ -438,8 +435,7 @@ TEST_F(VmTest, OutOfSegmentAccessFaults) {
   VmFunction f(a.take(), 64, SafetyMode::kDataSegmentOnly, gdt_, "oob");
   sched_.enter(sched_.spawn("t"));
   std::uint64_t violations_before = gdt_.stats().violations;
-  auto r = f.run(std::array<std::int64_t, 1>{5}, sched_, engine_, costs_,
-                 nullptr);
+  auto r = f.run(std::array<std::int64_t, 1>{5}, sched_, engine_, nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Errno::kEFAULT);
   EXPECT_GT(gdt_.stats().violations, violations_before);
@@ -451,7 +447,7 @@ TEST_F(VmTest, IsolatedModeFetchesThroughCodeSegment) {
   VmFunction f(a.take(), 64, SafetyMode::kIsolatedSegments, gdt_, "iso");
   sched_.enter(sched_.spawn("t"));
   VmRunStats stats;
-  auto r = f.run({}, sched_, engine_, costs_, &stats);
+  auto r = f.run({}, sched_, engine_, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 11);
   EXPECT_GE(stats.seg_checks, 2u);          // per-instruction fetch checks
@@ -467,12 +463,12 @@ TEST_F(VmTest, IsolatedModeChargesFarCall) {
   sched::Task& t = sched_.enter(sched_.spawn("t"));
   t.enter_kernel();
   std::uint64_t k0 = t.times().kernel;
-  (void)data.run({}, sched_, engine_, costs_, nullptr);
+  (void)data.run({}, sched_, engine_, nullptr);
   std::uint64_t data_cost = t.times().kernel - k0;
   std::uint64_t k1 = t.times().kernel;
-  (void)iso.run({}, sched_, engine_, costs_, nullptr);
+  (void)iso.run({}, sched_, engine_, nullptr);
   std::uint64_t iso_cost = t.times().kernel - k1;
-  EXPECT_GE(iso_cost, data_cost + costs_.far_call);
+  EXPECT_GE(iso_cost, data_cost + kVmFarCall);
 }
 
 TEST_F(VmTest, LoopWithBackEdgePreemption) {
@@ -484,7 +480,7 @@ TEST_F(VmTest, LoopWithBackEdgePreemption) {
   VmFunction f(a.take(), 64, SafetyMode::kDataSegmentOnly, gdt_, "sum");
   sched_.enter(sched_.spawn("t"));
   VmRunStats stats;
-  auto r = f.run({}, sched_, engine_, costs_, &stats);
+  auto r = f.run({}, sched_, engine_, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 5050);
   EXPECT_EQ(stats.back_edges, 99u);
@@ -498,7 +494,7 @@ TEST_F(VmTest, WatchdogKillsRunawayFunction) {
   sched::Task& t = sched_.enter(sched_.spawn("t"));
   t.set_kernel_budget(50'000);
   t.enter_kernel();
-  auto r = f.run({}, sched_, engine_, costs_, nullptr);
+  auto r = f.run({}, sched_, engine_, nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Errno::kEKILLED);
   EXPECT_EQ(t.state(), sched::TaskState::kKilled);
@@ -509,7 +505,7 @@ TEST_F(VmTest, FallingOffEndIsError) {
   a.loadi(0, 1);  // no ret
   VmFunction f(a.take(), 64, SafetyMode::kDataSegmentOnly, gdt_, "noret");
   sched_.enter(sched_.spawn("t"));
-  auto r = f.run({}, sched_, engine_, costs_, nullptr);
+  auto r = f.run({}, sched_, engine_, nullptr);
   EXPECT_FALSE(r.ok());
 }
 
@@ -520,7 +516,7 @@ TEST_F(VmTest, PokePeekDataSegment) {
   std::int64_t seed = 1234;
   ASSERT_EQ(f.poke(0, &seed, sizeof(seed)), Errno::kOk);
   sched_.enter(sched_.spawn("t"));
-  auto r = f.run({}, sched_, engine_, costs_, nullptr);
+  auto r = f.run({}, sched_, engine_, nullptr);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 1234);
 }
@@ -550,8 +546,7 @@ TEST_F(VmTest, FuzzedBytecodeNeverEscapes) {
     sched::Task& t = sched_.enter(sched_.spawn("fz" + std::to_string(trial)));
     t.set_kernel_budget(20'000);
     t.enter_kernel();
-    auto r = f.run(std::array<std::int64_t, 2>{1, 2}, sched_, engine_,
-                   costs_, nullptr);
+    auto r = f.run(std::array<std::int64_t, 2>{1, 2}, sched_, engine_, nullptr);
     t.exit_kernel();
     if (r.ok()) {
       ++returns;

@@ -100,7 +100,6 @@ class SpliceTest : public ::testing::Test {
   seg::DescriptorTable gdt_;
   sched::Scheduler sched_;
   base::WorkEngine engine_;
-  cosy::VmCosts costs_;
 };
 
 TEST_F(SpliceTest, SpliceRelocatesJumpTargets) {
@@ -116,7 +115,7 @@ TEST_F(SpliceTest, SpliceRelocatesJumpTargets) {
   sched_.enter(sched_.spawn("t"));
 
   auto run = [&] {
-    auto r = f.run({}, sched_, engine_, costs_, nullptr);
+    auto r = f.run({}, sched_, engine_, nullptr);
     EXPECT_TRUE(r.ok());
     return r.ok() ? r.value() : -1;
   };
@@ -155,8 +154,7 @@ TEST_F(SpliceTest, EntryCounterInstrumentationCounts) {
   ASSERT_TRUE(cosy::instrument_entry_counter(f, kCounterOff));
 
   for (int i = 0; i < 7; ++i) {
-    auto r = f.run(std::array<std::int64_t, 1>{i}, sched_, engine_, costs_,
-                   nullptr);
+    auto r = f.run(std::array<std::int64_t, 1>{i}, sched_, engine_, nullptr);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value(), i + 100);  // semantics unchanged
   }
@@ -173,7 +171,7 @@ TEST_F(SpliceTest, IsolatedSegmentRewrittenOnPatch) {
   sched_.enter(sched_.spawn("t"));
   ASSERT_TRUE(cosy::instrument_entry_counter(f, 0));
   // Runs correctly from the rewritten execute-only segment.
-  auto r = f.run({}, sched_, engine_, costs_, nullptr);
+  auto r = f.run({}, sched_, engine_, nullptr);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 5);
   std::int64_t counter = 0;

@@ -44,7 +44,6 @@ namespace usk {
 namespace {
 
 using store::BackingImage;
-using store::ImageMode;
 using store::JTxn;
 using store::Store;
 using store::StoreConfig;
@@ -140,24 +139,6 @@ TEST_F(StoreTest, ImagePersistsAcrossReopen) {
     ASSERT_TRUE(im.read_bytes(2 * store::kBlockBytes + 100, hdr, 7).ok());
     EXPECT_STREQ(hdr, "SBMAGIC");
   }
-}
-
-TEST_F(StoreTest, MmapModeParityWithPread) {
-  const std::string path = img("ts_mmap.img");
-  std::vector<std::uint8_t> a = pattern(0x33);
-  {
-    BackingImage im;
-    ASSERT_TRUE(im.open(path, 4, ImageMode::kMmap).ok());
-    ASSERT_TRUE(im.write_block(1, a.data()).ok());
-    ASSERT_TRUE(im.flush().ok());
-    im.close();
-  }
-  // What mmap wrote, pread reads -- same file, same contract.
-  BackingImage im;
-  ASSERT_TRUE(im.open(path, 4, ImageMode::kPread).ok());
-  std::vector<std::uint8_t> rb(store::kBlockBytes);
-  ASSERT_TRUE(im.read_block(1, rb.data()).ok());
-  EXPECT_EQ(rb, a);
 }
 
 // --- buffer cache: LRU + data plane -------------------------------------------
@@ -863,6 +844,41 @@ TEST_F(StoreTest, CheckedPolicyStoreModeRemountsWithoutBoundsErrors) {
   EXPECT_GT(rt.stats().checks, checks_before);
   EXPECT_TRUE(rt.errors().empty());
   st.close();
+}
+
+// A store-attached JournalFs never reads or writes the in-memory journal
+// strip, so it never allocates it: three policy arrays (inode table,
+// bitmap, data), not four. A store-less one allocates the strip on its
+// first journal append.
+TEST_F(StoreTest, CheckedPolicyStoreModeNeverAllocatesTheStrip) {
+  using KJFs = fs::JournalFs<bcc::BccPtrPolicy>;
+  const std::string path = img("ts_kgcc_strip.img");
+  StoreConfig cfg;
+  cfg.data_blocks = 192;
+  cfg.journal_blocks = 64;
+  bcc::Runtime& rt = bcc::Runtime::instance();
+  blockdev::Disk disk(4096);
+  blockdev::BufferCache cache(disk, 256);
+  Store st;
+  ASSERT_TRUE(st.open(path, cfg).ok());
+  std::uint64_t before = rt.stats().mallocs;
+  {
+    KJFs jfs(64, 128, 512, 8);
+    ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+    auto ino = jfs.create(jfs.root(), "m", fs::FileType::kRegular, 0644);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(jfs.write(ino.value(), 0, body_of(1, 5000)).ok());
+    ASSERT_TRUE(jfs.fsync(ino.value(), false).ok());
+    EXPECT_EQ(rt.stats().mallocs - before, 3u);
+  }
+  st.close();
+
+  before = rt.stats().mallocs;
+  KJFs plain(64, 128, 512, 8);
+  EXPECT_EQ(rt.stats().mallocs - before, 3u);
+  ASSERT_TRUE(plain.create(plain.root(), "m", fs::FileType::kRegular, 0644).ok());
+  EXPECT_EQ(rt.stats().mallocs - before, 4u);
+  EXPECT_GT(plain.jstats().journal_records, 0u);
 }
 
 // The strip crash (JournalFs::simulate_crash) is store-less only: with a
