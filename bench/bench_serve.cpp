@@ -19,10 +19,12 @@
 //               against open arrivals the shape sets to 2x capacity (R3)
 //
 // Each experiment is a list of cells plus its acceptance checks; the
-// process exits nonzero when a check fails. JSON records (USK_BENCH_JSON)
-// keep each experiment's established bench name -- bench_webserver,
-// bench_ring, bench_fault_storm, bench_supervisor, bench_obs,
-// bench_overload -- and config keys, which scripts/run_tier1.sh gates.
+// process exits nonzero when a check fails, and with status 3, naming the
+// cell, when a cell runs past its wall-clock limit. JSON records
+// (USK_BENCH_JSON) keep each experiment's established bench name --
+// bench_webserver, bench_ring, bench_fault_storm, bench_supervisor,
+// bench_obs, bench_overload -- and config keys, which
+// scripts/run_tier1.sh gates.
 //
 // EXPERIMENTS.md describes each experiment (N1, N2, R1, R2, O1, R3) and
 // its acceptance checks.
@@ -33,9 +35,12 @@
 // syscall measured here.
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -129,7 +134,58 @@ std::string event_ledger(const sup::Supervisor& s) {
   return out;
 }
 
+const char* cond_name(Cond c) {
+  switch (c) {
+    case Cond::kClean: return "clean";
+    case Cond::kStorm: return "storm";
+    case Cond::kSupervised: return "supervised";
+    case Cond::kSpans: return "spans";
+    case Cond::kOverload: return "overload";
+  }
+  return "?";
+}
+
+/// Wall-clock limit on one cell, far above the slowest healthy one (a
+/// full-size plain/clean run, ~5 s on 4 vCPUs). A cell past it is stuck
+/// -- a client parked on a wakeup that never comes -- so the process
+/// names the cell and fails instead of hanging.
+constexpr std::chrono::seconds kCellLimit{120};
+
+/// Watches one cell from a side thread for its whole lifetime.
+class CellWatchdog {
+ public:
+  CellWatchdog(Vehicle v, Cond c)
+      : thread_([this, v, c] {
+          std::unique_lock lk(mu_);
+          if (cv_.wait_for(lk, kCellLimit, [this] { return done_; })) return;
+          std::fflush(nullptr);
+          std::fprintf(stderr,
+                       "bench_serve: cell %s/%s still running after %lld s: "
+                       "stuck\n",
+                       workload::vehicle_name(v), cond_name(c),
+                       static_cast<long long>(kCellLimit.count()));
+          std::_Exit(3);
+        }) {}
+  ~CellWatchdog() {
+    {
+      std::lock_guard lk(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  CellWatchdog(const CellWatchdog&) = delete;
+  CellWatchdog& operator=(const CellWatchdog&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  ///< last: starts after the state it waits on
+};
+
 Cell run_cell(Vehicle v, Condition c, ServeConfig cfg) {
+  const CellWatchdog watchdog(v, c.kind);
   fs::MemFs memfs;
   uk::Kernel kernel(memfs);
   memfs.set_cost_hook(kernel.charge_hook());

@@ -8,10 +8,13 @@
 // from /proc/trace/hist/syscall plus headline counters from /proc. The
 // trace subsystem is switched on by writing to /proc/trace/enable, again
 // through the ordinary write(2) path.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -360,8 +363,13 @@ int main() {
   blockdev::Disk disk(4096);
   blockdev::BufferCache cache(disk, 128);
   store::Store store;
-  std::remove("ktop_store.img");
-  const bool store_up = store.open("ktop_store.img").ok();
+  // Per-process image path, so concurrent runs never share a file.
+  const std::string img =
+      (std::filesystem::temp_directory_path() /
+       ("usk-ktop-" + std::to_string(::getpid()) + ".img"))
+          .string();
+  std::remove(img.c_str());
+  const bool store_up = store.open(img).ok();
   if (store_up) store.attach_cache(&cache);
   uk::register_storage_proc(kernel.mount_procfs(),
                             store_up ? &store : nullptr, &cache);
@@ -419,7 +427,7 @@ int main() {
                 read_proc_file(top, "/proc/store/journal").c_str());
     store.close();
   }
-  std::remove("ktop_store.img");
+  std::remove(img.c_str());
 
   // Scheduler panel: per-CPU runqueue depths, steal/migration counters,
   // and the park/wake ledger, fed by a pooled-dispatch burst on the

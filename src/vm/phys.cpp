@@ -6,7 +6,8 @@
 namespace usk::vm {
 
 PhysMem::PhysMem(std::size_t frames)
-    : backing_(std::make_unique<std::byte[]>(frames * kPageSize)),
+    : backing_(
+          std::make_unique_for_overwrite<std::byte[]>(frames * kPageSize)),
       allocated_(frames, false) {
   free_list_.reserve(frames);
   // Hand out low frames first (push high frames first).

@@ -83,6 +83,10 @@ class PhysMem {
   }
 
  private:
+  // Demand-zero backing: taken uninitialised, so the host maps a frame
+  // only when something first writes it. alloc_frame/alloc_contiguous
+  // are the one place a frame is zeroed and free_frame poisons it with
+  // 0x5a; nothing may read a frame it has not allocated.
   std::unique_ptr<std::byte[]> backing_;
   std::vector<Pfn> free_list_;
   std::vector<bool> allocated_;

@@ -420,6 +420,16 @@ void serve_cosy_conn(Worker& w, cosy::CosyExtension& ext, int lfd) {
   w.retire(connfd, -1);
 }
 
+/// Watch an accepted connection. The add runs through a cancel storm; if
+/// it still fails, the connection is retired, not left open and unwatched.
+void watch(Worker& w, int connfd, int ep) {
+  const SysRet r = w.cancel_immune([&] {
+    return w.net.sys_epoll_ctl(w.p, ep, net::kEpollCtlAdd, connfd,
+                               net::kEpollIn);
+  });
+  if (r < 0) w.retire(connfd, -1);
+}
+
 /// A readable listener on the epoll vehicles.
 void on_accept(Worker& w, cosy::CosyExtension& ext, int lfd, int ep) {
   if (w.cfg.vehicle == Vehicle::kCosy) {
@@ -427,12 +437,7 @@ void on_accept(Worker& w, cosy::CosyExtension& ext, int lfd, int ep) {
   } else if (w.cfg.vehicle == Vehicle::kPlain) {
     trace::SpanScope span("ws.accept", trace::SpanVehicle::kPlain);
     const SysRet c = w.cancel_immune([&] { return w.net.sys_accept(w.p, lfd); });
-    if (c >= 0) {
-      w.cancel_immune([&] {
-        return w.net.sys_epoll_ctl(w.p, ep, net::kEpollCtlAdd,
-                                   static_cast<int>(c), net::kEpollIn);
-      });
-    }
+    if (c >= 0) watch(w, static_cast<int>(c), ep);
   } else {
     // Consolidated ingress span: the accept branch serves the
     // connection's first request itself, so the span is promoted to
@@ -451,7 +456,7 @@ void on_accept(Worker& w, cosy::CosyExtension& ext, int lfd, int ep) {
     if (connfd < 0) return;
     if (r > 0) span.set_name("ws.request");
     if (r > 0 && serve_request(w, connfd, frame)) {
-      w.net.sys_epoll_ctl(w.p, ep, net::kEpollCtlAdd, connfd, net::kEpollIn);
+      watch(w, connfd, ep);
     } else {
       w.retire(connfd, -1);
     }

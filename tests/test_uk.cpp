@@ -2,7 +2,11 @@
 // user-side library (Proc + dirent decoding).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <set>
 
 #include "uk/kernel.hpp"
@@ -346,6 +350,32 @@ TEST_F(KernelTest, DecodeDirentsHandlesTruncatedBuffer) {
   std::vector<UserDirent> out;
   EXPECT_EQ(decode_dirents(garbage, &out), 0u);
   EXPECT_TRUE(out.empty());
+}
+
+/// Resident set size of this process in bytes, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// The simulated RAM is demand-zero: a boot maps only the frames the
+// kernel actually allocates, not the whole 256 MiB pool.
+TEST(KernelBootTest, SimulatedRamIsDemandZero) {
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  fs::MemFs rootfs;
+  Kernel kernel(rootfs);
+  Proc proc(kernel, "boot");
+  const int fd = proc.open("/boot.txt", fs::kOWrOnly | fs::kOCreat);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(proc.write(fd, "up", 2), 2);
+  EXPECT_EQ(proc.close(fd), 0);
+  const std::size_t after = resident_bytes();
+  EXPECT_EQ(kernel.phys().frame_count() * vm::kPageSize, 256u << 20);
+  EXPECT_LT(after - std::min(after, before), 64u << 20)
+      << "RSS " << (before >> 20) << " -> " << (after >> 20) << " MiB";
 }
 
 TEST(BoundaryTest, CopiesAreReal) {

@@ -2,7 +2,9 @@
 // guard pages, fault handling, and the TLB model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "base/rng.hpp"
 #include "vm/address_space.hpp"
@@ -33,18 +35,46 @@ TEST(PhysMemTest, ExhaustionReturnsEnomem) {
   EXPECT_EQ(c.error(), Errno::kENOMEM);
 }
 
+/// True when every byte of frame `pfn` equals `v`.
+bool frame_filled(const PhysMem& pm, Pfn pfn, std::byte v) {
+  const std::byte* d = pm.frame_data(pfn);
+  return std::all_of(d, d + kPageSize, [v](std::byte b) { return b == v; });
+}
+
 TEST(PhysMemTest, FramesZeroedOnAlloc) {
   PhysMem pm(4);
   auto f = pm.alloc_frame();
   ASSERT_TRUE(f.ok());
-  std::byte* d = pm.frame_data(f.value());
-  d[0] = std::byte{0xAB};
+  EXPECT_TRUE(frame_filled(pm, f.value(), std::byte{0}));
+  std::memset(pm.frame_data(f.value()), 0xAB, kPageSize);
   pm.free_frame(f.value());
+  EXPECT_TRUE(frame_filled(pm, f.value(), std::byte{0x5a}));  // poisoned
   auto g = pm.alloc_frame();
   ASSERT_TRUE(g.ok());
-  // Low frames are preferred, so we likely got the same frame back; either
-  // way it must be zeroed.
-  EXPECT_EQ(pm.frame_data(g.value())[0], std::byte{0});
+  // Low frames are preferred, so the dirtied frame comes straight back;
+  // every byte of it must read zero.
+  ASSERT_EQ(g.value(), f.value());
+  EXPECT_TRUE(frame_filled(pm, g.value(), std::byte{0}));
+}
+
+TEST(PhysMemTest, ContiguousRunZeroedOverPoisonedFrames) {
+  PhysMem pm(8);
+  std::vector<Pfn> singles;
+  for (int i = 0; i < 4; ++i) {
+    auto f = pm.alloc_frame();
+    ASSERT_TRUE(f.ok());
+    std::memset(pm.frame_data(f.value()), 0xCD, kPageSize);
+    singles.push_back(f.value());
+  }
+  for (Pfn f : singles) pm.free_frame(f);
+  // First fit lands on the four freed, 0x5a-poisoned frames.
+  auto run = pm.alloc_contiguous(4);
+  ASSERT_TRUE(run.ok());
+  ASSERT_EQ(run.value(), 0u);
+  for (Pfn j = 0; j < 4; ++j) {
+    EXPECT_TRUE(frame_filled(pm, run.value() + j, std::byte{0}))
+        << "frame " << j;
+  }
 }
 
 TEST(PhysMemTest, ContiguousAllocation) {
