@@ -37,6 +37,7 @@
 #include <array>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +45,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "blockdev/buffer_cache.hpp"
@@ -702,6 +704,26 @@ int r2(bool quick) {
 
 // --- O1 ----------------------------------------------------------------------
 
+/// Alternated spans-off/spans-on pairs O1 runs at least.
+constexpr int kO1Pairs = 10;
+
+/// Median and quartiles, Python's statistics.quantiles(n=4,
+/// method="inclusive"): the figures scripts/bench_ab.py reports.
+struct Quartiles {
+  double q1 = 0, med = 0, q3 = 0;
+};
+Quartiles quartiles(std::vector<double> xs) {
+  if (xs.empty()) return {};
+  std::sort(xs.begin(), xs.end());
+  auto at = [&xs](double q) {
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
 int o1(bool quick) {
   bench::print_title("O1", "kspan overhead: disabled span-site cost and "
                            "span-enabled webserver throughput");
@@ -709,31 +731,73 @@ int o1(bool quick) {
   Checks check;
   disarmed_site("O1", json, check);
 
-  // The N1 consolidated server A/B, best-of-3 each side: the workload is
-  // thread-scheduled, so single runs are noisy in exactly the range the
-  // 5% budget polices.
-  const ServeConfig cfg = shape(2, quick ? 8 : 16, 8, 16384);
+  // The N1 consolidated server A/B as alternated pairs: the order flips
+  // every pair, so a slow stretch of the host hits both sides alike. At
+  // least kO1Pairs pairs (an even count, so each side runs first equally
+  // often), and more until each side has served for `min_side_s`
+  // seconds; one cell is sized from a warm-up run to about 1/kO1Pairs of
+  // that. The verdict is the median over pairs of off/on req/s, with
+  // quartiles and wins as scripts/bench_ab.py reports them, so one host
+  // hiccup moves one pair, not the gate.
+  const double min_side_s = quick ? 1.0 : 2.0;
+  ServeConfig cfg = shape(2, 16, 8, 16384);
+  const ServeReport warm = run_cell(Vehicle::kConsolidated, {}, cfg).rep;
+  const double scale = warm.elapsed_s > 0
+                           ? min_side_s / kO1Pairs / warm.elapsed_s
+                           : 1.0;
+  cfg.conns_per_worker = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(16.0 * scale)), 16, 8192);
+
+  std::vector<double> off_rps, on_rps, ratios;
+  double off_s = 0, on_s = 0;
+  int on_slower = 0;
+  bool all_served = true;
   ServeReport off, on;
-  for (int i = 0; i < 3; ++i) {
-    const ServeReport o = run_cell(Vehicle::kConsolidated, {}, cfg).rep;
-    if (o.req_per_sec > off.req_per_sec) off = o;
-    const ServeReport n =
-        run_cell(Vehicle::kConsolidated, {Cond::kSpans}, cfg).rep;
-    if (n.req_per_sec > on.req_per_sec) on = n;
+  for (int pair = 0;
+       pair < kO1Pairs * 4 && (pair < kO1Pairs || pair % 2 != 0 ||
+                               off_s < min_side_s || on_s < min_side_s);
+       ++pair) {
+    for (int k = 0; k < 2; ++k) {
+      const bool spans = (pair + k) % 2 == 1;
+      const ServeReport r =
+          run_cell(Vehicle::kConsolidated,
+                   spans ? Condition{Cond::kSpans} : Condition{}, cfg)
+              .rep;
+      all_served = all_served && r.requests > 0 && r.requests == r.offered;
+      (spans ? on_s : off_s) += r.elapsed_s;
+      (spans ? on : off) = r;
+    }
+    off_rps.push_back(off.req_per_sec);
+    on_rps.push_back(on.req_per_sec);
+    ratios.push_back(on.req_per_sec > 0 ? off.req_per_sec / on.req_per_sec
+                                        : 0.0);
+    if (on.req_per_sec < off.req_per_sec) ++on_slower;
   }
-  const double slowdown =
-      on.req_per_sec > 0 ? off.req_per_sec / on.req_per_sec : 0.0;
+  const Quartiles qoff = quartiles(off_rps);
+  const Quartiles qon = quartiles(on_rps);
+  const Quartiles qr = quartiles(ratios);
+  const double slowdown = qr.med;
   print_header();
-  print_row("spans-off", cfg.workers, off);
-  print_row("spans-on", cfg.workers, on);
-  std::printf("span-enabled slowdown: %.3fx (budget 1.05)\n", slowdown);
-  json.record("webserver_spans_off", 2, off.req_per_sec, off.elapsed_s);
-  json.record("webserver_spans_on", 2, on.req_per_sec, on.elapsed_s);
+  print_row("spans-off (last)", cfg.workers, off);
+  print_row("spans-on (last)", cfg.workers, on);
+  std::printf("\n%-10s %5s %8s  %s\n", "side", "cells", "seconds",
+              "req/s median [q1, q3]");
+  std::printf("%-10s %5zu %8.2f  %.0f [%.0f, %.0f]\n", "spans-off",
+              off_rps.size(), off_s, qoff.med, qoff.q1, qoff.q3);
+  std::printf("%-10s %5zu %8.2f  %.0f [%.0f, %.0f]\n", "spans-on",
+              on_rps.size(), on_s, qon.med, qon.q1, qon.q3);
+  std::printf("span-enabled slowdown: %.3fx [%.3f, %.3f] (median over "
+              "pairs of off/on; spans-on slower in %d/%zu pairs; budget "
+              "1.05)\n",
+              slowdown, qr.q1, qr.q3, on_slower, ratios.size());
+  json.record("webserver_spans_off", 2, qoff.med, off_s);
+  json.record("webserver_spans_on", 2, qon.med, on_s);
   json.record("span-enabled-webserver-slowdown-pct", 2, slowdown * 100.0,
-              on.elapsed_s);
+              on_s);
   check(slowdown <= 1.05, "span-enabled slowdown <= 1.05x");
-  check(off.requests == on.requests && on.requests > 0,
-        "both runs served every request");
+  check(off_s >= min_side_s && on_s >= min_side_s,
+        "each side served for the minimum time");
+  check(all_served, "every run served every request");
   return check.failures;
 }
 

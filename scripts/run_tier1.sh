@@ -40,9 +40,10 @@
 #           single-lock kernel), work stealing live (>= 1 steal), the
 #           watchdog still killing a runaway task, and ZERO park timeouts
 #           (all wakeups event-driven; no interval re-polling anywhere)
-#   stress  the race-prone suites (Smp, DlSmp, Store) repeated until
-#           failure, 20 rounds under ctest -j: a flaky park/kill/cancel
-#           handshake or a shared test file shows up here, not by luck
+#   stress  the race-prone suites (Smp, DlSmp, Store, PerCpuMerge)
+#           repeated until failure, 20 rounds under ctest -j: a flaky
+#           park/kill/cancel handshake, a shared test file, or a per-CPU
+#           counter that loses or double-counts shows up here, not by luck
 #   asan    the fault soak again under AddressSanitizer, proving the
 #           injected error paths free everything they unwind past
 #   ubsan   the fault + sup soaks under UndefinedBehaviorSanitizer
@@ -126,7 +127,7 @@ run_dl()     { build build; (cd build && ctest -L dl -j "$jobs" --output-on-fail
                  "$json"
                rm -f "$json"; }
 run_stress() { build build;
-               (cd build && ctest -R 'Smp|DlSmp|Store' -j "$jobs" \
+               (cd build && ctest -R 'Smp|DlSmp|Store|PerCpuMerge' -j "$jobs" \
                   --repeat until-fail:20 --output-on-failure); }
 run_asan()   { build build-asan -DUSK_SANITIZE=address;
                (cd build-asan && ctest -L faults -j "$jobs" --output-on-failure); }
@@ -135,7 +136,8 @@ run_ubsan()  { build build-ubsan -DUSK_SANITIZE=undefined;
                 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
                   ctest -L 'faults|sup' -j "$jobs" --output-on-failure); }
 run_tsan()   { build build-tsan -DUSK_SANITIZE=thread;
-               (cd build-tsan && ctest -R Smp -j "$jobs" --output-on-failure); }
+               (cd build-tsan && ctest -R 'Smp|PerCpuMerge' -j "$jobs" \
+                  --output-on-failure); }
 
 case "$mode" in
   plain)  run_plain ;;

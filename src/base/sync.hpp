@@ -147,7 +147,12 @@ class SpinGuard {
   int line_;
 };
 
-#define USK_SPIN_GUARD(l) ::usk::base::SpinGuard guard_##__LINE__((l), __FILE__, __LINE__)
+// Two-level paste: __LINE__ must expand before ## glues it, so each guard
+// gets its own name (guard_150, ...) and guards may nest or share a scope.
+#define USK_CONCAT_IMPL(a, b) a##b
+#define USK_CONCAT(a, b) USK_CONCAT_IMPL(a, b)
+#define USK_SPIN_GUARD(l) \
+  ::usk::base::SpinGuard USK_CONCAT(guard_, __LINE__)((l), __FILE__, __LINE__)
 #define USK_LOCK(l) (l).lock(__FILE__, __LINE__)
 #define USK_UNLOCK(l) (l).unlock(__FILE__, __LINE__)
 

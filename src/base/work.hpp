@@ -5,11 +5,18 @@
 // are genuine CPU measurements. One work unit is a fixed short ALU chain;
 // cache_touch work additionally strides through a scratch buffer to model
 // the cache/TLB pollution a real kernel entry causes.
+//
+// SMP: the only shared state a charge writes is the cache_touch scratch,
+// which models the cache traffic of a real kernel entry on purpose. The
+// unit accounting is per-CPU, so concurrent dispatchers never bounce a
+// bookkeeping line between them.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+
+#include "base/percpu.hpp"
 
 namespace usk::base {
 
@@ -27,7 +34,7 @@ class WorkEngine {
       x ^= x >> 7;
       x ^= x << 17;
     }
-    sink(x);
+    retire(units, x);
   }
 
   /// Execute `units` of cache-touching work (one line per unit). The
@@ -46,23 +53,34 @@ class WorkEngine {
       acc += scratch_[(x >> 6) % scratch_.size()].fetch_add(
           1, std::memory_order_relaxed);
     }
-    sink(acc);
+    retire(units, acc);
   }
 
-  /// Total units ever executed (for accounting assertions in tests).
+  /// Total units ever executed, summed over every CPU. Exact at a
+  /// quiescent point; a live read is a lower bound (base::CpuCounter).
   [[nodiscard]] std::uint64_t total_units() const {
-    return total_.load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    cpus_.for_each([&](const Slot& s) { sum += s.units.get(); });
+    return sum;
   }
 
  private:
-  void sink(std::uint64_t v) {
-    // Publish through an atomic so the optimizer cannot delete the loop.
-    total_.fetch_add(1 + (v & 1), std::memory_order_relaxed);
+  struct Slot {
+    CpuCounter units;
+    /// The last loop result, stored so the optimizer cannot delete the
+    /// loop. Written, never read.
+    std::atomic<std::uint64_t> sink{0};
+  };
+
+  void retire(std::uint64_t units, std::uint64_t result) {
+    Slot& s = cpus_.local();
+    s.units += units;
+    s.sink.store(result, std::memory_order_relaxed);
   }
 
   static constexpr std::size_t kScratchWords = 1 << 15;  // 256 KiB of u64
   std::uint64_t seed_ = 0x853C49E6748FEA9Bull;
-  std::atomic<std::uint64_t> total_{0};
+  PerCpu<Slot> cpus_;
   alignas(64) std::array<std::atomic<std::uint64_t>, kScratchWords> scratch_{};
 };
 

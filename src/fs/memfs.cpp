@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <shared_mutex>
 
 namespace usk::fs {
 
@@ -19,6 +20,22 @@ MemFs::Inode* MemFs::get(InodeNum ino) {
   return it == inodes_.end() ? nullptr : &it->second;
 }
 
+MemFsStats MemFs::stats() const {
+  MemFsStats out;
+  stats_.for_each([&](const CpuStats& c) {
+    out.lookups += c.lookups.get();
+    out.creates += c.creates.get();
+    out.removes += c.removes.get();
+    out.reads += c.reads.get();
+    out.writes += c.writes.get();
+    out.getattrs += c.getattrs.get();
+    out.readdirs += c.readdirs.get();
+    out.bytes_read += c.bytes_read.get();
+    out.bytes_written += c.bytes_written.get();
+  });
+  return out;
+}
+
 Result<MemFs::Inode*> MemFs::get_dir(InodeNum ino) {
   Inode* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
@@ -28,7 +45,7 @@ Result<MemFs::Inode*> MemFs::get_dir(InodeNum ino) {
 
 Result<InodeNum> MemFs::lookup(InodeNum dir, std::string_view name) {
   charge(costs_.lookup);
-  ++stats_.lookups;
+  ++stats_.local().lookups;
   std::shared_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
@@ -40,7 +57,7 @@ Result<InodeNum> MemFs::lookup(InodeNum dir, std::string_view name) {
 Result<InodeNum> MemFs::create(InodeNum dir, std::string_view name,
                                FileType type, std::uint32_t mode) {
   charge(costs_.create);
-  ++stats_.creates;
+  ++stats_.local().creates;
   if (name.empty() || name.size() > kMaxName) return Errno::kENAMETOOLONG;
   if (name.find('/') != std::string_view::npos) return Errno::kEINVAL;
   std::unique_lock g(rw_);
@@ -65,7 +82,7 @@ Result<InodeNum> MemFs::create(InodeNum dir, std::string_view name,
 
 Result<void> MemFs::unlink(InodeNum dir, std::string_view name) {
   charge(costs_.remove);
-  ++stats_.removes;
+  ++stats_.local().removes;
   std::unique_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
@@ -111,7 +128,7 @@ Result<void> MemFs::chmod(InodeNum ino, std::uint32_t mode) {
 
 Result<void> MemFs::rmdir(InodeNum dir, std::string_view name) {
   charge(costs_.remove);
-  ++stats_.removes;
+  ++stats_.local().removes;
   std::unique_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
@@ -201,7 +218,7 @@ Result<void> MemFs::touch_blocks(InodeNum ino, std::uint64_t offset,
 
 Result<std::size_t> MemFs::read(InodeNum ino, std::uint64_t offset,
                                 std::span<std::byte> out) {
-  ++stats_.reads;
+  ++stats_.local().reads;
   // Concurrent readers share the lock unless an io model is attached (the
   // buffer cache and extent map are not read-safe).
   if (io_ != nullptr) {
@@ -227,16 +244,22 @@ Result<std::size_t> MemFs::read_locked(InodeNum ino, std::uint64_t offset,
   // len == 0 can pair with a null out.data() (zero-length read buffer):
   // memcpy requires non-null pointers even for zero sizes.
   if (len != 0) std::memcpy(out.data(), n->data.data() + offset, len);
-  // atomic_ref: concurrent shared-lock readers may race on atime.
-  std::atomic_ref<std::uint64_t>(n->atime).store(now(),
-                                                 std::memory_order_relaxed);
-  stats_.bytes_read += len;
+  // atomic_ref: concurrent shared-lock readers may race on atime. A read
+  // stamps the current logical time without ticking the clock, and skips
+  // the store when atime already holds it, so concurrent readers of a hot
+  // file write neither the clock's line nor the inode's.
+  std::atomic_ref<std::uint64_t> atime(n->atime);
+  const std::uint64_t t = clock_.load(std::memory_order_relaxed);
+  if (atime.load(std::memory_order_relaxed) != t) {
+    atime.store(t, std::memory_order_relaxed);
+  }
+  stats_.local().bytes_read += len;
   return len;
 }
 
 Result<std::size_t> MemFs::write(InodeNum ino, std::uint64_t offset,
                                  std::span<const std::byte> in) {
-  ++stats_.writes;
+  ++stats_.local().writes;
   std::unique_lock g(rw_);
   Inode* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
@@ -248,7 +271,7 @@ Result<std::size_t> MemFs::write(InodeNum ino, std::uint64_t offset,
   if (end > n->data.size()) n->data.resize(end);
   if (!in.empty()) std::memcpy(n->data.data() + offset, in.data(), in.size());
   n->mtime = now();
-  stats_.bytes_written += in.size();
+  stats_.local().bytes_written += in.size();
   return in.size();
 }
 
@@ -265,7 +288,7 @@ Result<void> MemFs::truncate(InodeNum ino, std::uint64_t size) {
 
 Result<void> MemFs::getattr(InodeNum ino, StatBuf* st) {
   charge(costs_.getattr);
-  ++stats_.getattrs;
+  ++stats_.local().getattrs;
   std::shared_lock g(rw_);
   Inode* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
@@ -286,7 +309,7 @@ Result<void> MemFs::getattr(InodeNum ino, StatBuf* st) {
 }
 
 Result<std::vector<DirEntry>> MemFs::readdir(InodeNum dir) {
-  ++stats_.readdirs;
+  ++stats_.local().readdirs;
   std::shared_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
@@ -321,7 +344,7 @@ const std::vector<DirEntry>& MemFs::dir_snapshot(InodeNum ino, Inode& dir) {
 Result<std::vector<DirEntry>> MemFs::readdir_window(InodeNum dir,
                                                     std::size_t start,
                                                     std::size_t max_entries) {
-  ++stats_.readdirs;
+  ++stats_.local().readdirs;
   // Exclusive: dir_snapshot (re)builds the per-directory listing cache.
   std::unique_lock g(rw_);
   auto d = get_dir(dir);

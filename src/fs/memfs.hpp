@@ -7,18 +7,20 @@
 // SMP: an inode-table rwlock makes MemFs safe under parallel dispatch.
 // The read-mostly metadata path (lookup/getattr/read) takes the lock
 // shared -- timestamps it still touches are accessed through atomic_ref --
-// and namespace mutations take it exclusive. Counters are relaxed atomics.
+// and namespace mutations take it exclusive. The lock is a per-CPU
+// big-reader lock (base::PerCpuRwLock), so concurrent readers write no
+// shared line; counters are per-CPU too.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "base/percpu.hpp"
 #include "blockdev/buffer_cache.hpp"
 #include "fs/filesystem.hpp"
 
@@ -39,15 +41,15 @@ struct FsCosts {
 };
 
 struct MemFsStats {
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> creates{0};
-  std::atomic<std::uint64_t> removes{0};
-  std::atomic<std::uint64_t> reads{0};
-  std::atomic<std::uint64_t> writes{0};
-  std::atomic<std::uint64_t> getattrs{0};
-  std::atomic<std::uint64_t> readdirs{0};
-  std::atomic<std::uint64_t> bytes_read{0};
-  std::atomic<std::uint64_t> bytes_written{0};
+  std::uint64_t lookups = 0;
+  std::uint64_t creates = 0;
+  std::uint64_t removes = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t getattrs = 0;
+  std::uint64_t readdirs = 0;
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_written = 0;
 };
 
 class MemFs final : public FileSystem {
@@ -89,7 +91,8 @@ class MemFs final : public FileSystem {
   Result<std::vector<DirEntry>> readdir_window(
       InodeNum dir, std::size_t start, std::size_t max_entries) override;
 
-  [[nodiscard]] const MemFsStats& stats() const { return stats_; }
+  /// Every CPU's counters, merged (live-readable; see base::CpuCounter).
+  [[nodiscard]] MemFsStats stats() const;
 
  private:
   static constexpr InodeNum kRootIno = 1;
@@ -114,9 +117,24 @@ class MemFs final : public FileSystem {
     std::vector<DirEntry> entries;
   };
 
+  /// MemFsStats, one slot per CPU: an op bumps its own CPU's words only.
+  struct CpuStats {
+    base::CpuCounter lookups;
+    base::CpuCounter creates;
+    base::CpuCounter removes;
+    base::CpuCounter reads;
+    base::CpuCounter writes;
+    base::CpuCounter getattrs;
+    base::CpuCounter readdirs;
+    base::CpuCounter bytes_read;
+    base::CpuCounter bytes_written;
+  };
+
   void charge(std::uint64_t units) {
     if (charge_) charge_(units);
   }
+  /// The logical clock: every mutation (under the exclusive lock) ticks
+  /// it; a read stamps atime with its current value and does not tick it.
   std::uint64_t now() {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
@@ -134,13 +152,13 @@ class MemFs final : public FileSystem {
 
   // rw_ guards inodes_, dir_cache_, next_ino_, extent_, and the io model;
   // see the SMP note at the top of this header.
-  std::shared_mutex rw_;
+  base::PerCpuRwLock rw_;
   std::unordered_map<InodeNum, Inode> inodes_;
   std::unordered_map<InodeNum, DirCache> dir_cache_;
   InodeNum next_ino_ = 2;
   std::atomic<std::uint64_t> clock_{0};
   FsCosts costs_;
-  MemFsStats stats_;
+  base::PerCpu<CpuStats> stats_;
   std::function<void(std::uint64_t)> charge_;
   blockdev::BufferCache* io_ = nullptr;
   std::unordered_map<InodeNum, blockdev::Lba> extent_;

@@ -62,8 +62,22 @@ FileSystem& file_fs(FileSystem& root, const OpenFile& f) {
 }
 }  // namespace
 
+VfsStats Vfs::stats() const {
+  VfsStats out;
+  vstats_.for_each([&](const CpuStats& c) {
+    out.opens += c.opens.get();
+    out.closes += c.closes.get();
+    out.reads += c.reads.get();
+    out.writes += c.writes.get();
+    out.stats += c.stats.get();
+    out.path_components += c.path_components.get();
+    out.mount_crossings += c.mount_crossings.get();
+  });
+  return out;
+}
+
 Result<Vfs::Loc> Vfs::step(const Loc& dir, std::string_view name) {
-  ++vstats_.path_components;
+  ++vstats_.local().path_components;
   InodeNum child = dcache_.lookup(dir.ino, name, dir.fs_id);
   if (child == kInvalidInode) {
     Result<InodeNum> r = dir.fs->lookup(dir.ino, name);
@@ -76,7 +90,7 @@ Result<Vfs::Loc> Vfs::step(const Loc& dir, std::string_view name) {
   // filesystem mounted on it.
   auto it = mounts_.find({next.fs_id, next.ino});
   if (it != mounts_.end()) {
-    ++vstats_.mount_crossings;
+    ++vstats_.local().mount_crossings;
     next = Loc{it->second.fs, it->second.fs->root(), it->second.fs_id};
   }
   return next;
@@ -154,7 +168,7 @@ Result<int> Vfs::open(FdTable& fds, std::string_view path, int flags,
   USK_TRACE_LATENCY("vfs", "open");
   USK_TRACEPOINT("vfs", "open", path.size(),
                  static_cast<std::uint64_t>(flags));
-  ++vstats_.opens;
+  ++vstats_.local().opens;
   Result<Loc> loc = resolve_loc(path);
   if (!loc) {
     if ((flags & kOCreat) == 0 || loc.error() != Errno::kENOENT) {
@@ -197,7 +211,7 @@ Result<int> Vfs::open(FdTable& fds, std::string_view path, int flags,
 }
 
 Result<void> Vfs::close(FdTable& fds, int fd) {
-  ++vstats_.closes;
+  ++vstats_.local().closes;
   OpenFile* f = fds.get(fd);
   if (f == nullptr) return Errno::kEBADF;
   FileSystem& ffs = file_fs(fs_, *f);
@@ -219,7 +233,7 @@ Result<int> Vfs::dup(FdTable& fds, int fd) {
 Result<std::size_t> Vfs::read(FdTable& fds, int fd, std::span<std::byte> out) {
   USK_TRACE_LATENCY("vfs", "read");
   USK_TRACEPOINT("vfs", "read", static_cast<std::uint64_t>(fd), out.size());
-  ++vstats_.reads;
+  ++vstats_.local().reads;
   OpenFile* f = fds.get(fd);
   if (f == nullptr) return Errno::kEBADF;
   if ((f->flags & kAccessMode) == kOWrOnly) return Errno::kEBADF;
@@ -232,7 +246,7 @@ Result<std::size_t> Vfs::write(FdTable& fds, int fd,
                                std::span<const std::byte> in) {
   USK_TRACE_LATENCY("vfs", "write");
   USK_TRACEPOINT("vfs", "write", static_cast<std::uint64_t>(fd), in.size());
-  ++vstats_.writes;
+  ++vstats_.local().writes;
   OpenFile* f = fds.get(fd);
   if (f == nullptr) return Errno::kEBADF;
   if ((f->flags & kAccessMode) == kORdOnly) return Errno::kEBADF;
@@ -277,7 +291,7 @@ Result<std::uint64_t> Vfs::lseek(FdTable& fds, int fd, std::int64_t off,
 }
 
 Result<void> Vfs::fstat(FdTable& fds, int fd, StatBuf* st) {
-  ++vstats_.stats_;
+  ++vstats_.local().stats;
   OpenFile* f = fds.get(fd);
   if (f == nullptr) return Errno::kEBADF;
   return file_fs(fs_, *f).getattr(f->ino, st);
@@ -295,7 +309,7 @@ Result<void> Vfs::fsync(FdTable& fds, int fd, bool datasync) {
 Result<void> Vfs::stat(std::string_view path, StatBuf* st) {
   USK_TRACE_LATENCY("vfs", "stat");
   USK_TRACEPOINT("vfs", "stat", path.size());
-  ++vstats_.stats_;
+  ++vstats_.local().stats;
   Result<Loc> loc = resolve_loc(path);
   if (!loc) return loc.error();
   return loc.value().fs->getattr(loc.value().ino, st);

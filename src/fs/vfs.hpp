@@ -8,7 +8,6 @@
 // boundary (src/uk) performs the copy_{to,from}_user on either side.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -16,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/percpu.hpp"
 #include "fs/dcache.hpp"
 #include "fs/filesystem.hpp"
 
@@ -44,19 +44,19 @@ class FdTable {
   std::vector<std::optional<OpenFile>> files_;
 };
 
-/// Counters are relaxed atomics: the VFS itself is stateless per call
-/// apart from these (path walks read the dcache and mount table), so this
-/// is all it takes for concurrent dispatchers to share one Vfs. The mount
+/// The VFS is stateless per call apart from its counters (path walks read
+/// the dcache and mount table), and those are per-CPU, so concurrent
+/// dispatchers share one Vfs without sharing a written line. The mount
 /// table stays a plain map -- mounts are set up before worker threads
 /// start, like most real-world mount activity.
 struct VfsStats {
-  std::atomic<std::uint64_t> opens{0};
-  std::atomic<std::uint64_t> closes{0};
-  std::atomic<std::uint64_t> reads{0};
-  std::atomic<std::uint64_t> writes{0};
-  std::atomic<std::uint64_t> stats_{0};
-  std::atomic<std::uint64_t> path_components{0};
-  std::atomic<std::uint64_t> mount_crossings{0};
+  std::uint64_t opens = 0;
+  std::uint64_t closes = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t stats = 0;
+  std::uint64_t path_components = 0;
+  std::uint64_t mount_crossings = 0;
 };
 
 class Vfs {
@@ -127,7 +127,8 @@ class Vfs {
 
   [[nodiscard]] FileSystem& filesystem() { return fs_; }
   [[nodiscard]] Dcache& dcache() { return dcache_; }
-  [[nodiscard]] const VfsStats& stats() const { return vstats_; }
+  /// Every CPU's counters, merged (live-readable; see base::CpuCounter).
+  [[nodiscard]] VfsStats stats() const;
 
  private:
   struct MountEntry {
@@ -146,7 +147,17 @@ class Vfs {
   // (fs_id, covered inode) -> mounted filesystem.
   std::map<std::pair<std::uint32_t, InodeNum>, MountEntry> mounts_;
   std::uint32_t next_fs_id_ = 1;
-  VfsStats vstats_;
+
+  struct CpuStats {
+    base::CpuCounter opens;
+    base::CpuCounter closes;
+    base::CpuCounter reads;
+    base::CpuCounter writes;
+    base::CpuCounter stats;
+    base::CpuCounter path_components;
+    base::CpuCounter mount_crossings;
+  };
+  base::PerCpu<CpuStats> vstats_;
 };
 
 }  // namespace usk::fs

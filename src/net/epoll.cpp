@@ -39,10 +39,11 @@ SysRet Net::sys_epoll_create(uk::Process& p) {
   std::shared_ptr<Epoll> ep;
   fs::InodeNum ino = 0;
   {
-    std::lock_guard tlk(tab_mu_);
-    ino = next_ino_++;
+    ino = new_ino();
     ep = std::make_shared<Epoll>(ino);
-    epolls_[ino] = ep;
+    TableShard& sh = shard_of(ino);
+    std::lock_guard lk(sh.mu);
+    sh.epolls[ino] = ep;
   }
   fs::OpenFile f;
   f.ino = ino;

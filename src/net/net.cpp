@@ -38,18 +38,19 @@ void Net::charge(std::uint64_t units) {
 }
 
 void Net::note_sendfile(std::uint64_t bytes) {
-  sendfile_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  stats_.local().sendfile_bytes += bytes;
 }
 
 NetStats Net::stats() const {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
   NetStats out;
-  out.sockets_created = sockets_created_.load(kRelaxed);
-  out.conns_accepted = conns_accepted_.load(kRelaxed);
-  out.conns_refused = conns_refused_.load(kRelaxed);
-  out.bytes_sent = bytes_sent_.load(kRelaxed);
-  out.packets_sent = packets_sent_.load(kRelaxed);
-  out.sendfile_bytes = sendfile_bytes_.load(kRelaxed);
+  stats_.for_each([&](const CpuNetStats& c) {
+    out.sockets_created += c.sockets_created.get();
+    out.conns_accepted += c.conns_accepted.get();
+    out.conns_refused += c.conns_refused.get();
+    out.bytes_sent += c.bytes_sent.get();
+    out.packets_sent += c.packets_sent.get();
+    out.sendfile_bytes += c.sendfile_bytes.get();
+  });
   return out;
 }
 
@@ -96,24 +97,50 @@ Errno Net::block_on(std::unique_lock<std::mutex>& lk, sched::WaitQueue& wq,
 }
 
 std::shared_ptr<Socket> Net::make_socket(bool nonblock) {
-  std::lock_guard lk(tab_mu_);
-  fs::InodeNum ino = next_ino_++;
+  const fs::InodeNum ino = new_ino();
   auto s = std::make_shared<Socket>(ino, nonblock);
-  sockets_[ino] = s;
-  sockets_created_.fetch_add(1, std::memory_order_relaxed);
+  {
+    TableShard& sh = shard_of(ino);
+    std::lock_guard lk(sh.mu);
+    sh.sockets[ino] = s;
+  }
+  ++stats_.local().sockets_created;
   return s;
 }
 
 std::shared_ptr<Socket> Net::find_socket(fs::InodeNum ino) {
-  std::lock_guard lk(tab_mu_);
-  auto it = sockets_.find(ino);
-  return it == sockets_.end() ? nullptr : it->second;
+  TableShard& sh = shard_of(ino);
+  std::lock_guard lk(sh.mu);
+  auto it = sh.sockets.find(ino);
+  return it == sh.sockets.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<Epoll> Net::find_epoll(fs::InodeNum ino) {
-  std::lock_guard lk(tab_mu_);
-  auto it = epolls_.find(ino);
-  return it == epolls_.end() ? nullptr : it->second;
+  TableShard& sh = shard_of(ino);
+  std::lock_guard lk(sh.mu);
+  auto it = sh.epolls.find(ino);
+  return it == sh.epolls.end() ? nullptr : it->second;
+}
+
+std::size_t Net::live_sockets() const {
+  std::size_t n = 0;
+  for (const TableShard& sh : table_) {
+    std::lock_guard lk(sh.mu);
+    n += sh.sockets.size();
+  }
+  return n;
+}
+
+std::vector<std::shared_ptr<Socket>> Net::socket_snapshot() const {
+  std::vector<std::shared_ptr<Socket>> snap;
+  for (const TableShard& sh : table_) {
+    std::lock_guard lk(sh.mu);
+    for (const auto& [ino, s] : sh.sockets) snap.push_back(s);
+  }
+  std::sort(snap.begin(), snap.end(),
+            [](const std::shared_ptr<Socket>& a,
+               const std::shared_ptr<Socket>& b) { return a->id() < b->id(); });
+  return snap;
 }
 
 Result<std::shared_ptr<Socket>> Net::socket_of(uk::Process& p, int fd) {
@@ -215,7 +242,7 @@ SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
     refused = lsn->state_ != SockState::kListening;
   }
   if (refused) {
-    conns_refused_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.local().conns_refused;
     return scope.fail(Errno::kECONNREFUSED);
   }
 
@@ -301,7 +328,7 @@ Result<int> Net::accept_pop(uk::Process& p, Socket& ls) {
     drop_socket(conn);
     return fd.error();
   }
-  conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.local().conns_accepted;
   return fd;
 }
 
@@ -382,8 +409,9 @@ Result<std::size_t> Net::send_from(Socket& s,
       s.bytes_tx_ += pushed;
       s.pkts_tx_ += pkts;
     }
-    bytes_sent_.fetch_add(pushed, std::memory_order_relaxed);
-    packets_sent_.fetch_add(pkts, std::memory_order_relaxed);
+    CpuNetStats& st = stats_.local();
+    st.bytes_sent += pushed;
+    st.packets_sent += pkts;
     sent += pushed;
   }
   return sent;
@@ -522,9 +550,17 @@ SysRet Net::sys_shutdown(uk::Process& p, int fd, int how) {
 void Net::drop_socket(const std::shared_ptr<Socket>& s) {
   std::shared_ptr<Socket> peer;
   std::deque<std::shared_ptr<Socket>> orphans;
+  bool owns_port = false;
+  std::uint16_t port = 0;
   {
     std::lock_guard slk(s->mu_);
     if (s->state_ == SockState::kClosed) return;
+    // Only bind() claims a port, and a bound socket stays bound or
+    // listening until it closes; an accepted half merely copies the
+    // listener's port number.
+    owns_port = s->state_ == SockState::kBound ||
+                s->state_ == SockState::kListening;
+    port = s->port_;
     peer = s->peer_.lock();
     orphans.swap(s->accept_q_);
     s->state_ = SockState::kClosed;
@@ -533,16 +569,14 @@ void Net::drop_socket(const std::shared_ptr<Socket>& s) {
     s->wq_.wake_all();
   }
   {
+    TableShard& sh = shard_of(s->id());
+    std::lock_guard lk(sh.mu);
+    sh.sockets.erase(s->id());
+  }
+  if (owns_port) {
     std::lock_guard tlk(tab_mu_);
-    sockets_.erase(s->id());
-    for (auto it = ports_.begin(); it != ports_.end();) {
-      std::shared_ptr<Socket> owner = it->second.lock();
-      if (owner == nullptr || owner == s) {
-        it = ports_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    auto it = ports_.find(port);
+    if (it != ports_.end() && it->second.lock() == s) ports_.erase(it);
   }
   if (peer != nullptr) {
     std::lock_guard plk(peer->mu_);
@@ -556,8 +590,9 @@ void Net::drop_socket(const std::shared_ptr<Socket>& s) {
 }
 
 void Net::drop_epoll(const std::shared_ptr<Epoll>& ep) {
-  std::lock_guard tlk(tab_mu_);
-  epolls_.erase(ep->id());
+  TableShard& sh = shard_of(ep->id());
+  std::lock_guard lk(sh.mu);
+  sh.epolls.erase(ep->id());
 }
 
 void Net::fd_released(fs::InodeNum ino) {

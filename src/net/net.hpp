@@ -15,6 +15,7 @@
 // accept_recv/sendfile calls in src/consolidation are built on them.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "base/percpu.hpp"
 #include "net/socket.hpp"
 #include "uk/kernel.hpp"
 
@@ -196,10 +198,7 @@ class Net {
   /// Sockets still registered (not yet released by their last fd): the
   /// kdl leak oracle asserts this returns to its baseline after every
   /// cancellation storm.
-  [[nodiscard]] std::size_t live_sockets() const {
-    std::lock_guard lk(tab_mu_);
-    return sockets_.size();
-  }
+  [[nodiscard]] std::size_t live_sockets() const;
 
   /// Render /proc/net/** style tables (also used directly by tests).
   [[nodiscard]] std::string format_stats() const;
@@ -236,23 +235,47 @@ class Net {
   /// Wake every epoll watching `s`. Caller holds s.mu_ (socket -> epoll).
   static void notify_watchers_locked(Socket& s);
 
+  /// The ino -> socket/epoll table, sharded by ino like the dcache: every
+  /// send/recv/accept/close looks its descriptor up here, and connections
+  /// on different shards never share a lock word. A shard lock is never
+  /// held with a socket's mu_ or with tab_mu_.
+  static constexpr std::size_t kTableShards = 16;
+  struct alignas(64) TableShard {
+    mutable std::mutex mu;
+    std::map<fs::InodeNum, std::shared_ptr<Socket>> sockets;
+    std::map<fs::InodeNum, std::shared_ptr<Epoll>> epolls;
+  };
+  [[nodiscard]] TableShard& shard_of(fs::InodeNum ino) {
+    return table_[ino % kTableShards];
+  }
+  fs::InodeNum new_ino() {
+    return next_ino_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Every live socket, ascending ino (the /proc/net row order).
+  std::vector<std::shared_ptr<Socket>> socket_snapshot() const;
+
+  /// NetStats, one slot per CPU (base::CpuCounter words: the send path
+  /// writes only its own CPU's line; stats() merges them live).
+  struct CpuNetStats {
+    base::CpuCounter sockets_created;
+    base::CpuCounter conns_accepted;
+    base::CpuCounter conns_refused;
+    base::CpuCounter bytes_sent;
+    base::CpuCounter packets_sent;
+    base::CpuCounter sendfile_bytes;
+  };
+
   uk::Kernel& k_;
   SocketFs sockfs_;
 
+  std::array<TableShard, kTableShards> table_;
+  std::atomic<fs::InodeNum> next_ino_{1};
+  /// Guards the port namespace (bind, connect's listener lookup, and the
+  /// close of a bound socket). Lock order: tab_mu_ -> socket mu_.
   mutable std::mutex tab_mu_;
-  fs::InodeNum next_ino_ = 1;
-  std::map<fs::InodeNum, std::shared_ptr<Socket>> sockets_;
-  std::map<fs::InodeNum, std::shared_ptr<Epoll>> epolls_;
   std::map<std::uint16_t, std::weak_ptr<Socket>> ports_;
 
-  /// NetStats counters as relaxed atomics: the send path bumps them
-  /// without a lock, and stats() loads each into one snapshot.
-  std::atomic<std::uint64_t> sockets_created_{0};
-  std::atomic<std::uint64_t> conns_accepted_{0};
-  std::atomic<std::uint64_t> conns_refused_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> packets_sent_{0};
-  std::atomic<std::uint64_t> sendfile_bytes_{0};
+  base::PerCpu<CpuNetStats> stats_;
 };
 
 }  // namespace usk::net

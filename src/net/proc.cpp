@@ -47,14 +47,9 @@ std::string Net::format_stats() const {
 }
 
 std::string Net::format_sockets() {
-  // Snapshot the table first: tab_mu_ and a socket's mu_ are never held
-  // together anywhere in the stack, and this keeps it that way.
-  std::vector<std::shared_ptr<Socket>> snap;
-  {
-    std::lock_guard tlk(tab_mu_);
-    snap.reserve(sockets_.size());
-    for (const auto& [ino, s] : sockets_) snap.push_back(s);
-  }
+  // Snapshot the table first: a table shard lock and a socket's mu_ are
+  // never held together anywhere in the stack, and this keeps it that way.
+  const std::vector<std::shared_ptr<Socket>> snap = socket_snapshot();
   std::string out =
       "ino state port peer_port rxq bytes_rx bytes_tx pkts_rx pkts_tx "
       "refs\n";
@@ -72,12 +67,7 @@ std::string Net::format_sockets() {
 }
 
 std::string Net::format_listeners() {
-  std::vector<std::shared_ptr<Socket>> snap;
-  {
-    std::lock_guard tlk(tab_mu_);
-    snap.reserve(sockets_.size());
-    for (const auto& [ino, s] : sockets_) snap.push_back(s);
-  }
+  const std::vector<std::shared_ptr<Socket>> snap = socket_snapshot();
   std::string out = "ino port backlog queued\n";
   for (const std::shared_ptr<Socket>& s : snap) {
     std::lock_guard slk(s->mu_);

@@ -37,8 +37,10 @@
 
 namespace usk::sched {
 
+/// Scheduler event counters. Preemption points, the one event on the
+/// in-kernel request path (every ring chain, every Cosy back-edge), are
+/// counted per-CPU instead: Scheduler::preempt_points().
 struct SchedStats {
-  std::atomic<std::uint64_t> preempt_points{0};
   std::atomic<std::uint64_t> schedules{0};  ///< schedule-out events
   std::atomic<std::uint64_t> watchdog_kills{0};
   std::atomic<std::uint64_t> spawns{0};
@@ -230,8 +232,8 @@ class Scheduler {
   /// when the task was killed by the watchdog and must abort its kernel
   /// work.
   bool preempt_point() {
-    stats_.preempt_points.fetch_add(1, std::memory_order_relaxed);
     Cpu& cpu = cpu_.local();
+    ++cpu.preempt_points;
     Task* t = cpu.current.load(std::memory_order_relaxed);
     if (t == nullptr) return true;
     ++t->preemptions;
@@ -297,6 +299,12 @@ class Scheduler {
   }
 
   [[nodiscard]] const SchedStats& stats() const { return stats_; }
+  /// preempt_point() calls, every CPU merged (live-readable).
+  [[nodiscard]] std::uint64_t preempt_points() const {
+    std::uint64_t sum = 0;
+    cpu_.for_each([&](const Cpu& c) { sum += c.preempt_points.get(); });
+    return sum;
+  }
   [[nodiscard]] std::size_t cpu_count() const { return ncpus_; }
   [[nodiscard]] std::size_t task_count() const {
     std::lock_guard lk(spawn_mu_);
@@ -307,6 +315,7 @@ class Scheduler {
   struct Cpu {
     std::atomic<Task*> current{nullptr};
     std::uint32_t since_schedule = 0;
+    base::CpuCounter preempt_points;
   };
   struct alignas(64) CpuStats {
     std::atomic<std::uint64_t> steals{0};

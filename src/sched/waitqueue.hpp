@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <mutex>
 
+#include "base/percpu.hpp"
 #include "sched/task.hpp"
 
 namespace usk::sched {
@@ -49,12 +50,20 @@ namespace usk::sched {
 /// deadlines may ever tick it.
 struct WaitStats {
   std::atomic<std::uint64_t> parks{0};      ///< wait() calls that slept
-  std::atomic<std::uint64_t> wakeups{0};    ///< wake_one + wake_all calls
+  /// wake_one + wake_all calls, per-CPU: every send and recv wakes a
+  /// queue, so this is the one counter on the steady-state data path.
+  base::PerCpu<base::CpuCounter> wake_calls;
   std::atomic<std::uint64_t> stale_tokens{0};  ///< waits satisfied pre-sleep
   std::atomic<std::uint64_t> kills_while_parked{0};
   std::atomic<std::uint64_t> cancels_while_parked{0};  ///< kdl cancel exits
   std::atomic<std::uint64_t> timeouts{0};   ///< user-deadline expiries
   std::atomic<std::int64_t> parked_now{0};
+
+  [[nodiscard]] std::uint64_t wakeups() const {
+    std::uint64_t sum = 0;
+    wake_calls.for_each([&](const base::CpuCounter& c) { sum += c.get(); });
+    return sum;
+  }
 };
 
 inline WaitStats& waitqueue_stats() {
@@ -147,7 +156,7 @@ class WaitQueue {
 
   /// Wake one parked task (any token taken before this call goes stale).
   void wake_one() {
-    waitqueue_stats().wakeups.fetch_add(1, std::memory_order_relaxed);
+    ++waitqueue_stats().wake_calls.local();
     {
       std::lock_guard lk(mu_);
       seq_.fetch_add(1, std::memory_order_release);
@@ -157,7 +166,7 @@ class WaitQueue {
 
   /// Wake every parked task.
   void wake_all() {
-    waitqueue_stats().wakeups.fetch_add(1, std::memory_order_relaxed);
+    ++waitqueue_stats().wake_calls.local();
     {
       std::lock_guard lk(mu_);
       seq_.fetch_add(1, std::memory_order_release);

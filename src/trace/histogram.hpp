@@ -6,6 +6,8 @@
 // record() is a single relaxed fetch_add into the bucket holding the
 // value (bucket i >= 1 covers [2^(i-1), 2^i)), plus count/sum/max
 // counters so /proc can print averages without walking buckets.
+// CpuHistogram is the same table for one CPU's exclusive use; per-CPU
+// arrays of it (the always-on syscall histograms) merge on read.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +15,8 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+
+#include "base/percpu.hpp"
 
 namespace usk::trace {
 
@@ -106,6 +110,44 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> max_{0};
+};
+
+/// A histogram one CPU writes and any thread reads live: the per-CPU half
+/// of a per-CPU histogram map. record() is base::CpuCounter arithmetic
+/// (relaxed loads and stores, no locked read-modify-write), so the owner
+/// never waits on a shared line; merge_into() adds it to a snapshot.
+class CpuHistogram {
+ public:
+  static constexpr std::size_t kBuckets = HistogramSnapshot::kBuckets;
+
+  void record(std::uint64_t v) {
+    ++buckets_[Histogram::bucket_of(v)];
+    ++count_;
+    sum_ += v;
+    if (v > max_.load(std::memory_order_relaxed)) {
+      max_.store(v, std::memory_order_relaxed);
+    }
+  }
+
+  void merge_into(HistogramSnapshot& s) const {
+    for (std::size_t i = 0; i < kBuckets; ++i) s.buckets[i] += buckets_[i].get();
+    s.count += count_.get();
+    s.sum += sum_.get();
+    s.max = std::max(s.max, max_.load(std::memory_order_relaxed));
+  }
+
+  void reset() {
+    for (auto& b : buckets_) b.reset();
+    count_.reset();
+    sum_.reset();
+    max_.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  std::array<base::CpuCounter, kBuckets> buckets_{};
+  base::CpuCounter count_;
+  base::CpuCounter sum_;
   std::atomic<std::uint64_t> max_{0};
 };
 

@@ -12,6 +12,49 @@ Ktrace& Ktrace::instance() {
   return t;
 }
 
+Ktrace::~Ktrace() {
+  cpus_.for_each([](CpuBuf& buf) {
+    SyscallHists* t = buf.syscalls.load();
+    if (t == nullptr) return;
+    for (std::atomic<CpuHistogram*>& h : t->by_nr) delete h.load();
+    delete t;
+  });
+}
+
+namespace {
+/// Publish a freshly allocated `T` in `slot` unless one is there already;
+/// returns whichever is published. A CAS, not a store: two threads that
+/// share a CPU slot (more live threads than kMaxCpus) may race here.
+template <class T>
+T* publish_once(std::atomic<T*>& slot) {
+  T* cur = slot.load(std::memory_order_acquire);
+  if (cur != nullptr) return cur;
+  auto fresh = std::make_unique<T>();
+  if (slot.compare_exchange_strong(cur, fresh.get(),
+                                   std::memory_order_acq_rel)) {
+    return fresh.release();
+  }
+  return cur;
+}
+}  // namespace
+
+CpuHistogram* Ktrace::local_syscall_hist(std::uint16_t nr) {
+  SyscallHists* t = publish_once(cpus_.local().syscalls);
+  return publish_once(t->by_nr[nr]);
+}
+
+HistogramSnapshot Ktrace::syscall_snapshot(std::uint16_t nr) const {
+  HistogramSnapshot out;
+  cpus_.for_each([&](const CpuBuf& buf) {
+    const SyscallHists* t = buf.syscalls.load(std::memory_order_acquire);
+    if (t == nullptr) return;
+    const CpuHistogram* h =
+        t->by_nr[nr % kMaxSyscalls].load(std::memory_order_acquire);
+    if (h != nullptr) h->merge_into(out);
+  });
+  return out;
+}
+
 void Ktrace::configure(std::size_t per_cpu_capacity) {
   // Round up to a power of two (ring requirement).
   std::size_t cap = 1;
@@ -146,7 +189,15 @@ void Ktrace::reset() {
   for (std::uint16_t i = 0; i < n; ++i) {
     sites_[i].hits.store(0, std::memory_order_relaxed);
   }
-  for (auto& h : syscall_hist_) h.reset();
+  cpus_.for_each([](CpuBuf& buf) {
+    SyscallHists* t = buf.syscalls.load(std::memory_order_acquire);
+    if (t == nullptr) return;
+    for (std::atomic<CpuHistogram*>& h : t->by_nr) {
+      if (CpuHistogram* hist = h.load(std::memory_order_acquire)) {
+        hist->reset();
+      }
+    }
+  });
   std::uint16_t m = op_hist_count_.load(std::memory_order_acquire);
   for (std::uint16_t i = 0; i < m; ++i) op_hists_[i].hist->reset();
 }

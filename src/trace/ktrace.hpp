@@ -11,9 +11,10 @@
 //      streams back into one ordered timeline at a quiescent point,
 //      exactly like the audit subsystem's per-CPU buffers.
 //   3. Aggregation in the kernel. Log2 latency histograms (eBPF-style)
-//      accumulate per-syscall and per-operation latencies with one
-//      relaxed increment, so "always-on" percentile observability never
-//      needs the event stream at all.
+//      accumulate per-syscall latencies in the calling CPU's own table
+//      (merged on read) and per-operation latencies with one relaxed
+//      increment, so "always-on" percentile observability never needs
+//      the event stream at all.
 //
 // The simulated machine has one tracer (like one ftrace instance); every
 // Kernel in the process shares it. Tests call reset() between scenarios.
@@ -135,14 +136,24 @@ class Ktrace {
 
   // --- histograms ------------------------------------------------------------
   /// Record one syscall latency. Always-on (not gated on enable): the
-  /// syscall epilogue already has the wall time in hand, so this is one
-  /// relaxed increment -- the eBPF per-CPU-map trick without the map.
+  /// syscall epilogue already has the wall time in hand, and the record
+  /// lands in the calling CPU's own table (the eBPF per-CPU map), so the
+  /// hot path writes no line another CPU writes. A CPU's table is
+  /// allocated on its first record, one syscall at a time: CPUs that never
+  /// dispatch, and syscalls a CPU never makes, cost no memory.
   void record_syscall(std::uint16_t nr, std::uint64_t ns) {
-    syscall_hist_[nr % kMaxSyscalls].record(ns);
+    nr %= kMaxSyscalls;
+    const SyscallHists* t =
+        cpus_.local().syscalls.load(std::memory_order_acquire);
+    CpuHistogram* h =
+        t != nullptr ? t->by_nr[nr].load(std::memory_order_acquire) : nullptr;
+    if (h == nullptr) h = local_syscall_hist(nr);
+    h->record(ns);
   }
-  [[nodiscard]] const Histogram& syscall_hist(std::uint16_t nr) const {
-    return syscall_hist_[nr % kMaxSyscalls];
-  }
+  /// Every CPU's histogram for `nr`, merged. Safe to call live (each
+  /// word is read as one exact value; see base::CpuCounter), exact once
+  /// the dispatchers are quiescent.
+  [[nodiscard]] HistogramSnapshot syscall_snapshot(std::uint16_t nr) const;
 
   /// Intern a named operation histogram (stable reference; call through a
   /// function-local static). Recording into it is the caller's business
@@ -160,6 +171,7 @@ class Ktrace {
 
  private:
   Ktrace() : epoch_(std::chrono::steady_clock::now()) {}
+  ~Ktrace();
 
   using Ring = base::MpmcRing<TraceEvent>;
 
@@ -173,6 +185,9 @@ class Ktrace {
     const char* name = nullptr;
     std::unique_ptr<Histogram> hist;
   };
+  struct SyscallHists {
+    std::array<std::atomic<CpuHistogram*>, kMaxSyscalls> by_nr{};
+  };
   /// Per-CPU emit state: the ring is allocated on the CPU's first emit so
   /// idle slots cost nothing; `emitted` is owner-thread-only (merged at
   /// quiescent points, like every other PerCpu counter).
@@ -180,7 +195,16 @@ class Ktrace {
     std::unique_ptr<Ring> ring;
     std::uint64_t emitted = 0;
     bool drop_warned = false;  ///< first-drop warning fired for this CPU
+    /// This CPU's syscall histograms. The table and each histogram are
+    /// published once (release) on first use, read live by
+    /// syscall_snapshot(), and freed by ~Ktrace.
+    std::atomic<SyscallHists*> syscalls{nullptr};
   };
+
+  /// Slow path of record_syscall: allocate the calling CPU's histogram
+  /// for `nr` (already < kMaxSyscalls), and its table on the CPU's first
+  /// syscall.
+  CpuHistogram* local_syscall_hist(std::uint16_t nr);
 
   const std::chrono::steady_clock::time_point epoch_;
 
@@ -195,7 +219,6 @@ class Ktrace {
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::size_t> ring_capacity_{kDefaultRingCapacity};
   base::PerCpu<CpuBuf> cpus_;
-  std::array<Histogram, kMaxSyscalls> syscall_hist_{};
 };
 
 /// Shorthand for the process-wide tracer.

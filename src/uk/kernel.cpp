@@ -101,7 +101,7 @@ Kernel::Scope::~Scope() {
           .count());
   p_.task.kernel_wall_ns += wall_ns;
   // Always-on log2 latency histogram (the wall time is already in hand,
-  // so this is one relaxed increment -- see trace::Ktrace).
+  // and the record lands in this CPU's own table -- see trace::Ktrace).
   trace::ktrace().record_syscall(static_cast<std::uint16_t>(nr_), wall_ns);
   USK_TRACEPOINT("syscall", "exit", static_cast<std::uint64_t>(nr_),
                  static_cast<std::uint64_t>(ret_));

@@ -85,15 +85,15 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   });
 
   pfs.add_file("/vfs/stats", [&k] {
-    const fs::VfsStats& s = k.vfs().stats();
+    const fs::VfsStats s = k.vfs().stats();
     std::string out;
     appendf(out, "opens %" PRIu64 "\ncloses %" PRIu64 "\nreads %" PRIu64 "\n",
-            s.opens.load(), s.closes.load(), s.reads.load());
-    appendf(out, "writes %" PRIu64 "\nstats %" PRIu64 "\n", s.writes.load(),
-            s.stats_.load());
+            s.opens, s.closes, s.reads);
+    appendf(out, "writes %" PRIu64 "\nstats %" PRIu64 "\n", s.writes,
+            s.stats);
     appendf(out,
             "path_components %" PRIu64 "\nmount_crossings %" PRIu64 "\n",
-            s.path_components.load(), s.mount_crossings.load());
+            s.path_components, s.mount_crossings);
     return out;
   });
 
@@ -151,7 +151,7 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
     appendf(out,
             "tasks %zu\npreempt_points %" PRIu64 "\nschedules %" PRIu64
             "\nwatchdog_kills %" PRIu64 "\n",
-            k.scheduler().task_count(), s.preempt_points.load(),
+            k.scheduler().task_count(), k.scheduler().preempt_points(),
             s.schedules.load(), s.watchdog_kills.load());
     appendf(out,
             "enqueues %" PRIu64 "\npicks %" PRIu64 "\nsteals %" PRIu64
@@ -164,7 +164,7 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
             "wait_parks %" PRIu64 "\nwait_wakeups %" PRIu64
             "\nwait_stale_tokens %" PRIu64 "\nwait_kills %" PRIu64
             "\nwait_timeouts %" PRIu64 "\nparked_now %" PRId64 "\n",
-            w.parks.load(), w.wakeups.load(), w.stale_tokens.load(),
+            w.parks.load(), w.wakeups(), w.stale_tokens.load(),
             w.kills_while_parked.load(), w.timeouts.load(),
             w.parked_now.load());
     return out;
@@ -224,8 +224,7 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   pfs.add_file("/trace/hist/syscall", [] {
     std::string out;
     for (std::uint16_t nr = 0; nr < trace::Ktrace::kMaxSyscalls; ++nr) {
-      trace::HistogramSnapshot h =
-          trace::ktrace().syscall_hist(nr).snapshot();
+      trace::HistogramSnapshot h = trace::ktrace().syscall_snapshot(nr);
       if (h.count == 0) continue;
       appendf(out, "%s ", sys_name(static_cast<Sys>(nr)));
       append_hist(out, h);
@@ -329,7 +328,7 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   metrics::kmetrics().gauge_fn(
       "usk_sched_wakeups", "WaitQueue wake_one/wake_all calls", {}, [] {
         return static_cast<std::int64_t>(
-            sched::waitqueue_stats().wakeups.load());
+            sched::waitqueue_stats().wakeups());
       });
   metrics::kmetrics().gauge_fn(
       "usk_sched_parks", "tasks parked on WaitQueues (cumulative)", {}, [] {
@@ -358,7 +357,7 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
         "# HELP usk_syscall_latency_ns syscall wall latency (ktrace log2 "
         "histograms)\n# TYPE usk_syscall_latency_ns gauge\n";
     for (std::uint16_t nr = 0; nr < trace::Ktrace::kMaxSyscalls; ++nr) {
-      trace::HistogramSnapshot h = trace::ktrace().syscall_hist(nr).snapshot();
+      trace::HistogramSnapshot h = trace::ktrace().syscall_snapshot(nr);
       if (h.count == 0) continue;
       const char* name = sys_name(static_cast<Sys>(nr));
       appendf(out, "usk_syscall_latency_ns{syscall=\"%s\",quantile=\"0.5\"} %" PRIu64 "\n",

@@ -375,6 +375,33 @@ TEST(SyncHooksTest, SpinLockFiresHook) {
   EXPECT_EQ(cap.events[0].first, &lock);
 }
 
+TEST(SyncHooksTest, TwoSpinGuardsInOneScope) {
+  // Each guard gets its own name, so two in one scope compile and each
+  // releases its own lock, inner first, at scope exit.
+  HookCapture cap;
+  base::SpinLock outer("outer");
+  base::SpinLock inner("inner");
+  base::SyncHooks::set(&HookCapture::fn, &cap);
+  {
+    USK_SPIN_GUARD(outer);
+    USK_SPIN_GUARD(inner);
+    EXPECT_FALSE(outer.try_lock());
+    EXPECT_FALSE(inner.try_lock());
+  }
+  base::SyncHooks::reset();
+  EXPECT_TRUE(outer.try_lock());
+  EXPECT_TRUE(inner.try_lock());
+  outer.unlock();
+  inner.unlock();
+  ASSERT_EQ(cap.events.size(), 4u);
+  EXPECT_EQ(cap.events[0].first, &outer);
+  EXPECT_EQ(cap.events[1].first, &inner);
+  EXPECT_EQ(cap.events[2], std::make_pair(static_cast<void*>(&inner),
+                                          base::SyncEvent::kSpinUnlock));
+  EXPECT_EQ(cap.events[3], std::make_pair(static_cast<void*>(&outer),
+                                          base::SyncEvent::kSpinUnlock));
+}
+
 TEST(SyncHooksTest, RefCountFiresHookAndHitsZero) {
   HookCapture cap;
   base::SyncHooks::set(&HookCapture::fn, &cap);
@@ -423,7 +450,25 @@ TEST(WorkEngineTest, AccumulatesUnits) {
   std::uint64_t before = e.total_units();
   e.alu(1000);
   e.cache_touch(100);
-  EXPECT_GT(e.total_units(), before);
+  EXPECT_EQ(e.total_units(), before + 1100);
+}
+
+TEST(WorkEngineTest, TotalIsExactAcrossCpus) {
+  // Two dispatchers charge one engine from their own CPU slots; the merged
+  // total is exactly both threads' units, none lost and none doubled.
+  base::WorkEngine e;
+  constexpr int kCalls = 2000;
+  auto charge = [&e](std::uint64_t alu, std::uint64_t touch) {
+    for (int i = 0; i < kCalls; ++i) {
+      e.alu(alu);
+      e.cache_touch(touch);
+    }
+  };
+  std::thread a(charge, 7, 3);
+  std::thread b(charge, 11, 5);
+  a.join();
+  b.join();
+  EXPECT_EQ(e.total_units(), kCalls * (7u + 3u) + kCalls * (11u + 5u));
 }
 
 TEST(WorkEngineTest, WorkScalesWithUnits) {

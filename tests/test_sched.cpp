@@ -86,7 +86,7 @@ TEST(SchedulerTest, PreemptPointCountsAndSchedules) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(s.preempt_point());
   }
-  EXPECT_EQ(s.stats().preempt_points, 8u);
+  EXPECT_EQ(s.preempt_points(), 8u);
   EXPECT_EQ(s.stats().schedules, 2u);  // every 4 points
   EXPECT_EQ(t.preemptions, 8u);
 }
